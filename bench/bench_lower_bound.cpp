@@ -2,7 +2,7 @@
 // inapproximability threshold delta_I (1 - 1/delta_K)?
 //
 // Two probes (the paper's exact lower-bound instances of [7] are not
-// reproduced in this paper's text; DESIGN.md documents the substitution):
+// reproduced in this paper's text, so these stand in for them):
 //   (a) the layered wheel: up/down role structure closed into a cycle; the
 //       shifting strategy's loss appears as a function of R;
 //   (b) adversarial random search: worst measured ratio over many random

@@ -1,6 +1,6 @@
 // bench_util.hpp -- shared helpers for the experiment harness.
 //
-// Every bench binary regenerates one experiment of EXPERIMENTS.md as a
+// Every bench binary regenerates one experiment (E1, E2, ...) as a
 // fixed-width table (support/table.hpp).  Helpers here keep the measurement
 // conventions uniform:
 //   * ratios are always omega* / omega(x) with omega* certified by the dual

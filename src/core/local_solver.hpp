@@ -3,7 +3,7 @@
 // Computes exactly what every agent of the special-form instance outputs,
 // but by shared dynamic programming on the finite graph G instead of
 // per-agent local views.  Validity rests on the position-independence of
-// t, s and g (DESIGN.md §3): the unfolding subtree below an agent copy is
+// t, s and g (paper Example 2): the unfolding subtree below an agent copy is
 // determined by the agent's identity in G, so one value per (agent, depth)
 // suffices.  Engine L (view_solver.hpp) recomputes the same quantities
 // definitionally on explicit local views; the integration tests require

@@ -79,8 +79,9 @@ struct LocalSolution {
   InstanceStats special_stats;      // size of the transformed instance
   std::int32_t view_radius = 0;     // local horizon D(R) of engine L / M
   // Scheduler accounting of the distributed engines (M / S): rounds,
-  // delivered messages, modeled bytes, largest message.  All zero for the
-  // simulated engines C / L, which never touch the network substrate.
+  // delivered messages, measured bytes (encoded frame sizes), largest
+  // message.  All zero for the simulated engines C / L, which never touch
+  // the network substrate.
   RunStats net_stats;
 
   // Fault-tolerance diagnostics, populated only when LocalParams::faults

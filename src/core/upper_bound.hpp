@@ -10,7 +10,7 @@
 // and t_u = max{w >= 0 : all f+ >= 0 in A_u (8) and
 //                        f-_{u,r}(w) <= min_i 1/a_iu (9)}.
 //
-// Key structural facts we exploit (documented in DESIGN.md §3):
+// Key structural facts we exploit:
 //   * f±_{u,v,d} does not depend on the root u (Example 2 of the paper):
 //     the subtree hanging below an agent copy in the unfolding is determined
 //     by the agent's identity in G, so f± is a function of (v, d) only.
@@ -22,6 +22,11 @@
 //     We return the largest *verified-feasible* w, so every downstream
 //     feasibility property (Lemmas 5, 7, 9, 11) holds exactly; only the
 //     approximation guarantee degrades, by at most `tol`.
+//   * The monotonicity holds in floating point too (every operation of
+//     (5)-(7) is monotone under round-to-nearest for positive finite
+//     coefficients), so a state whose values at both ends of the bracket are
+//     bitwise equal is constant inside it: each probe re-evaluates only the
+//     states whose two values still differ.
 #pragma once
 
 #include <atomic>
@@ -53,7 +58,10 @@ enum class ViewEngine : std::uint8_t {
 // single stats object can be shared across the per-agent parallel loops;
 // engines accumulate locally and flush once per evaluated agent.
 struct TSearchStats {
-  std::atomic<std::int64_t> f_evals{0};   // f± state evaluations / calls
+  // f± evaluations performed.  Engine C: the whole cone at 0 and at the
+  // initial hi, then only the live states of each probe.  Engine L: DP
+  // states, or recursive calls for the naive engine.
+  std::atomic<std::int64_t> f_evals{0};
   std::atomic<std::int64_t> g_evals{0};   // g± state evaluations / calls
   std::atomic<std::int64_t> t_searches{0};  // bisection searches run
   std::atomic<std::int64_t> t_checks{0};    // condition (8)-(9) evaluations
@@ -164,38 +172,9 @@ struct TSearchOptions {
   const Deadline* deadline = nullptr;
 };
 
-// The dependency cone of agent u: all states (v, d, role) reachable from the
-// root condition (u, r, -) through the recursion, deduplicated, in reverse
-// evaluation order.  Reused across the bisection iterations.
-class TCone {
- public:
-  TCone(const SpecialFormInstance& sf, AgentId u, std::int32_t r);
-
-  // Evaluates the recursion at `omega` and returns whether conditions
-  // (8)-(9) hold.  `values` is scratch storage resized internally.
-  bool check(double omega, std::vector<double>& scratch) const;
-
-  std::int64_t num_states() const {
-    return static_cast<std::int64_t>(states_.size());
-  }
-
- private:
-  struct State {
-    AgentId v;
-    std::int32_t d;
-    bool plus;
-    std::int64_t deps_begin;  // into deps_: dependency state indices
-    std::int64_t deps_end;
-  };
-
-  const SpecialFormInstance& sf_;
-  AgentId u_;
-  std::int32_t r_;
-  std::vector<State> states_;      // BFS discovery order from the root state
-  std::vector<std::int64_t> deps_;
-};
-
-// t_u for one agent (builds the cone internally).
+// t_u for one agent: bisection on (8)-(9) over the agent's dependency cone,
+// the states (v, d, +/-) reachable from (u, r, -), rebuilt per call in
+// per-thread scratch sized by the cone.
 double compute_t_single(const SpecialFormInstance& sf, AgentId u,
                         std::int32_t r, const TSearchOptions& opt = {});
 

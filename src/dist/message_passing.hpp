@@ -10,12 +10,12 @@
 // port-faithful delivery (a message sent on port p of u arrives at the
 // neighbour's back-port, resolved by the same CommGraph::back_port the view
 // unfolding uses), and the cost accounting the locality benches report
-// (rounds, message count, modeled bytes, largest single message).  Node
-// behaviour is supplied as NodeProgram instances -- one per node, agents and
-// constraint/objective relays alike -- which see *only* their LocalInput
-// (type, degree, per-port coefficients) and their inboxes: nothing
-// identifier-shaped ever reaches a program, so anything expressible here is
-// definable in the port-numbering model by construction.
+// (rounds, message count, measured bytes of the encoded frames, largest
+// single message).  Node behaviour is supplied as NodeProgram instances --
+// one per node, agents and constraint/objective relays alike -- which see
+// *only* their LocalInput (type, degree, per-port coefficients) and their
+// inboxes: nothing identifier-shaped ever reaches a program, so anything
+// expressible here is definable in the port-numbering model by construction.
 //
 // Two engines run on this substrate:
 //   * engine M (dist/gather.hpp)    -- gather the radius-D view, simulate

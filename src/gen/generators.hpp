@@ -138,7 +138,7 @@ struct RegularSpecialParams {
 // exactly `constraints_per_agent` degree-2 constraints with random partners
 // (no self-loops, no parallel pairs).  Locally, every agent looks alike up
 // to port numbering and coefficients -- the closest synthetic analogue of
-// the lower-bound instances of [7] (see DESIGN.md §6), used by bench E5.
+// the lower-bound instances of [7], used by bench E5.
 MaxMinInstance regular_special_instance(const RegularSpecialParams& p,
                                         std::uint64_t seed);
 

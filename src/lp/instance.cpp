@@ -1,6 +1,7 @@
 #include "lp/instance.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -77,9 +78,10 @@ void MaxMinInstance::validate() const {
         LOCMM_CHECK_MSG(e.agent >= 0 && e.agent < num_agents(),
                         kind << " row " << r << " references agent "
                              << e.agent << " out of range");
-        LOCMM_CHECK_MSG(e.coeff > 0.0, kind << " row " << r
-                                            << " has non-positive coefficient "
-                                            << e.coeff);
+        LOCMM_CHECK_MSG(e.coeff > 0.0 && std::isfinite(e.coeff),
+                        kind << " row " << r
+                             << " has non-positive or non-finite coefficient "
+                             << e.coeff);
         LOCMM_CHECK_MSG(!seen[static_cast<std::size_t>(e.agent)],
                         kind << " row " << r << " repeats agent " << e.agent);
         seen[static_cast<std::size_t>(e.agent)] = 1;

@@ -130,8 +130,8 @@ class MaxMinInstance {
 
   // Structural sanity per §4's preamble: every constraint and objective is
   // adjacent to >= 1 agent; every agent to >= 1 constraint and >= 1
-  // objective; all coefficients strictly positive; no duplicate agent within
-  // a row.  Throws CheckError with a description if violated.
+  // objective; all coefficients strictly positive and finite; no duplicate
+  // agent within a row.  Throws CheckError with a description if violated.
   void validate() const;
 
   // True if the communication graph (agents + constraints + objectives as

@@ -1,8 +1,7 @@
 // table.hpp -- fixed-width ASCII tables for the experiment harness.
 //
 // Every bench binary prints the rows/series of its experiment through this
-// printer so that EXPERIMENTS.md and bench_output.txt stay uniform and
-// diffable across runs.
+// printer so that its output stays uniform and diffable across runs.
 #pragma once
 
 #include <string>

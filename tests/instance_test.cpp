@@ -2,6 +2,7 @@
 // preservation, utilities, feasibility, validation failures, relabelling.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "lp/instance.hpp"
@@ -100,6 +101,23 @@ TEST(InstanceValidate, RejectsNonPositiveCoefficient) {
   b.add_constraint({{0, 0.0}});
   b.add_objective({{0, 1.0}});
   EXPECT_THROW(b.build(), CheckError);
+}
+
+TEST(InstanceValidate, RejectsNonFiniteCoefficient) {
+  // An infinite coefficient breaks the monotonicity of the §5 recursions in
+  // omega (inf * 0 is NaN), so it is rejected like a non-positive one.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    InstanceBuilder constraint(2);
+    constraint.add_constraint({{0, 1.0}, {1, bad}});
+    constraint.add_objective({{0, 1.0}, {1, 1.0}});
+    EXPECT_THROW(constraint.build(), CheckError) << bad;
+
+    InstanceBuilder objective(2);
+    objective.add_constraint({{0, 1.0}, {1, 1.0}});
+    objective.add_objective({{0, bad}, {1, 1.0}});
+    EXPECT_THROW(objective.build(), CheckError) << bad;
+  }
 }
 
 TEST(InstanceValidate, RejectsDuplicateAgentInRow) {

@@ -1,12 +1,17 @@
 // Tests for the t_u machinery (§5.1-§5.2): hand-computed values, the
-// upper-bound property t_u >= omega* (Lemmas 2-3), monotonicity of the f
-// recursion in omega, and agreement between the production cone evaluation
-// and an independent test-side reimplementation driven by the global f
-// tables.
+// upper-bound property t_u >= omega* (Lemmas 2-3), exact monotonicity of the
+// f recursion in omega, and bitwise agreement between the production cone
+// search and an independent test-side reimplementation driven by the global
+// f tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "core/special_form.hpp"
 #include "core/upper_bound.hpp"
@@ -57,19 +62,47 @@ TEST(UpperBound, DeeperTreeTightensTheBound) {
   }
 }
 
+// The live-set bisection of compute_t_single treats a state whose values at
+// both bracket ends are bitwise equal as constant inside the bracket, which
+// is sound only if f+ is non-increasing and f- non-decreasing in omega with
+// no tolerance at all.  Checked exactly over a ladder of omega values that
+// includes adjacent doubles and the t values the bisection converges to.
 TEST(UpperBound, FMonotoneInOmega) {
   RandomSpecialParams p;
   p.num_agents = 20;
-  const MaxMinInstance inst = random_special_form(p, 5);
-  const SpecialFormInstance sf(inst);
+  RandomGeneralParams g;
+  g.num_agents = 16;
   const std::int32_t r = 2;
-  const FTables lo = evaluate_f_global(sf, r, 0.4);
-  const FTables hi = evaluate_f_global(sf, r, 1.7);
-  for (std::int32_t d = 0; d <= r; ++d) {
-    for (AgentId v = 0; v < inst.num_agents(); ++v) {
-      // f+ non-increasing, f- non-decreasing in omega.
-      EXPECT_GE(lo.plus[d][v], hi.plus[d][v] - 1e-12);
-      EXPECT_LE(lo.minus[d][v], hi.minus[d][v] + 1e-12);
+  for (const MaxMinInstance& inst : {random_special_form(p, 5),
+                                     to_special_form(random_general(g, 7))
+                                         .special}) {
+    const SpecialFormInstance sf(inst);
+    std::vector<double> ladder{0.0, std::numeric_limits<double>::denorm_min(),
+                               1e-300, 0.4, 1.0, 1.7, 3.0, 1e3, 1e300};
+    for (AgentId u = 0; u < inst.num_agents(); u += 4) {
+      ladder.push_back(compute_t_single(sf, u, r));
+      ladder.push_back(sf.t_search_upper(u));
+    }
+    for (std::size_t k = 0, n = ladder.size(); k < n; ++k) {
+      ladder.push_back(std::nextafter(ladder[k], 0.0));
+      ladder.push_back(std::nextafter(ladder[k], 2.0 * ladder[k] + 1.0));
+    }
+    std::sort(ladder.begin(), ladder.end());
+    ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
+
+    FTables prev = evaluate_f_global(sf, r, ladder[0]);
+    for (std::size_t k = 1; k < ladder.size(); ++k) {
+      FTables cur = evaluate_f_global(sf, r, ladder[k]);
+      for (std::int32_t d = 0; d <= r; ++d) {
+        for (AgentId v = 0; v < inst.num_agents(); ++v) {
+          // f+ non-increasing, f- non-decreasing in omega, exactly.
+          EXPECT_GE(prev.plus[d][v], cur.plus[d][v])
+              << "omega " << ladder[k - 1] << " -> " << ladder[k];
+          EXPECT_LE(prev.minus[d][v], cur.minus[d][v])
+              << "omega " << ladder[k - 1] << " -> " << ladder[k];
+        }
+      }
+      prev = std::move(cur);
     }
   }
 }
@@ -91,13 +124,26 @@ TEST(UpperBound, FPlusMonotoneInDepth) {
   }
 }
 
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
 // Independent reimplementation: alternating-walk state reachability plus
-// bisection over the *global* f tables.  Cross-checks TCone's dedup/order.
-double t_reference(const SpecialFormInstance& sf, AgentId u, std::int32_t r,
-                   double tol = 1e-12) {
+// bisection over the *global* f tables, with production's stop rule (eps
+// fixed from the initial hi).  Cross-checks the production cone's
+// dedup/order and its live-set shortcut: every probe here evaluates every
+// reachable state, and counts the ones whose values at lo and hi differ --
+// the states a live-set search re-evaluates.
+struct TReferenceResult {
+  double t = 0.0;
+  std::int64_t checks = 0;  // condition (8)-(9) probes, 0 and hi included
+  std::int64_t evals = 0;   // state evaluations of a live-set search
+};
+
+TReferenceResult t_reference(const SpecialFormInstance& sf, AgentId u,
+                             std::int32_t r, double tol = 1e-12) {
   // Reach set: states (v, d, plus?) from the root (u, r, minus).
-  std::set<std::tuple<AgentId, std::int32_t, bool>> reach;
-  std::vector<std::tuple<AgentId, std::int32_t, bool>> stack{{u, r, false}};
+  using State = std::tuple<AgentId, std::int32_t, bool>;
+  std::set<State> reach;
+  std::vector<State> stack{{u, r, false}};
   while (!stack.empty()) {
     auto [v, d, plus] = stack.back();
     stack.pop_back();
@@ -110,20 +156,60 @@ double t_reference(const SpecialFormInstance& sf, AgentId u, std::int32_t r,
       for (AgentId w : sf.siblings(v)) stack.push_back({w, d, true});
     }
   }
-  auto feasible = [&](double omega) {
-    const FTables ft = evaluate_f_global(sf, r, omega);
+  auto value = [](const FTables& ft, const State& st) {
+    const auto& [v, d, plus] = st;
+    return plus ? ft.plus[d][v] : ft.minus[d][v];
+  };
+  TReferenceResult res;
+  auto probe = [&](double omega, FTables& ft) {
+    ++res.checks;
+    ft = evaluate_f_global(sf, r, omega);
     for (const auto& [v, d, plus] : reach) {
       if (plus && !(ft.plus[d][v] >= 0.0)) return false;
     }
     return ft.minus[r][u] <= sf.inv_cap(u);
   };
   double lo = 0.0, hi = sf.t_search_upper(u);
-  if (feasible(hi)) return hi;
-  while (hi - lo > tol * std::max(1.0, hi)) {
-    const double mid = 0.5 * (lo + hi);
-    (feasible(mid) ? lo : hi) = mid;
+  FTables lo_ft, hi_ft;
+  EXPECT_TRUE(probe(lo, lo_ft));
+  res.evals = 2 * static_cast<std::int64_t>(reach.size());
+  if (probe(hi, hi_ft)) {
+    res.t = hi;
+    return res;
   }
-  return lo;
+  const double eps = tol * std::max(1.0, hi);
+  while (hi - lo > eps) {
+    for (const State& st : reach)
+      res.evals += bits(value(lo_ft, st)) != bits(value(hi_ft, st));
+    const double mid = 0.5 * (lo + hi);
+    FTables mid_ft;
+    if (probe(mid, mid_ft)) {
+      lo = mid;
+      lo_ft = std::move(mid_ft);
+    } else {
+      hi = mid;
+      hi_ft = std::move(mid_ft);
+    }
+  }
+  res.t = lo;
+  return res;
+}
+
+// Production against the reference on every agent: t bitwise, the same
+// probes, and exactly the live-set state evaluations.
+void expect_matches_reference(const MaxMinInstance& inst, std::int32_t r) {
+  const SpecialFormInstance sf(inst);
+  for (AgentId u = 0; u < inst.num_agents(); ++u) {
+    TSearchStats stats;
+    TSearchOptions opt;
+    opt.stats = &stats;
+    const double t = compute_t_single(sf, u, r, opt);
+    const TReferenceResult ref = t_reference(sf, u, r);
+    EXPECT_EQ(bits(t), bits(ref.t))
+        << "u=" << u << " r=" << r << ": " << t << " vs " << ref.t;
+    EXPECT_EQ(stats.t_checks.load(), ref.checks) << "u=" << u << " r=" << r;
+    EXPECT_EQ(stats.f_evals.load(), ref.evals) << "u=" << u << " r=" << r;
+  }
 }
 
 class TReference : public ::testing::TestWithParam<std::uint64_t> {};
@@ -133,14 +219,18 @@ TEST_P(TReference, ConeMatchesGlobalTableEvaluation) {
   p.num_agents = 14;
   p.delta_k = 3;
   const MaxMinInstance inst = random_special_form(p, GetParam());
-  const SpecialFormInstance sf(inst);
-  for (std::int32_t r : {0, 1, 2}) {
-    for (AgentId u = 0; u < inst.num_agents(); u += 3) {
-      const double a = compute_t_single(sf, u, r);
-      const double b = t_reference(sf, u, r);
-      EXPECT_NEAR(a, b, 1e-8) << "u=" << u << " r=" << r;
-    }
-  }
+  for (std::int32_t r : {0, 1, 2}) expect_matches_reference(inst, r);
+}
+
+// The §4 pipeline's output (gadget rows, big-M coefficients, split agents)
+// is what engine C solves in production.
+TEST_P(TReference, PipelineOutputMatchesGlobalTableEvaluation) {
+  RandomGeneralParams p;
+  p.num_agents = 30;
+  p.delta_i = 3;
+  p.delta_k = 3;
+  const Pipeline pipeline = to_special_form(random_general(p, GetParam()));
+  expect_matches_reference(pipeline.special, 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TReference,
@@ -176,7 +266,7 @@ TEST(UpperBound, ParallelMatchesSerial) {
   const std::vector<double> parallel = compute_t_all(sf, 2, {}, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t v = 0; v < serial.size(); ++v)
-    EXPECT_DOUBLE_EQ(serial[v], parallel[v]);
+    EXPECT_EQ(bits(serial[v]), bits(parallel[v])) << "v=" << v;
 }
 
 TEST(UpperBound, ZeroFeasibleAlways) {
