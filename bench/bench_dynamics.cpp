@@ -1,27 +1,13 @@
 // E9 -- dynamic updates: incremental re-solve vs full re-solve.
 //
-// PR 3's version of this bench demonstrated §1.3 read-only (re-solve from
-// scratch, measure the change radius).  With the dynamic subsystem
-// (src/dynamic/incremental_solver.hpp) the bench now measures the thing the
-// observation buys: after a single-coefficient edit, IncrementalSolver
-// re-evaluates only the radius-D(R) dirty ball (cone-restricted WL
-// recolouring + per-class evaluation through the persistent colour-keyed
-// cache), while the baseline pays a whole-instance
-// solve_special_local_views.  Every incremental output is compared
-// BIT-for-bit against the from-scratch solve, so the bench doubles as a
-// large-instance correctness probe.
-//
-// Expected shape: on thin-view instances (wheel) the cold solve is
-// dominated by the O(D |E|) WL sweep, which the incremental path shrinks to
-// the dirty cone -- speedups far beyond 10x at 10k agents.  On fat-view
-// instances (torus at R = 4) per-class evaluation dominates both paths;
-// without the DP warm start the speedup is bounded by (all classes) /
-// (dirty classes), and the E9d table shows what the fat-view fast path
-// (IncrementalSolver::Options::warm_start -- persisted t-table, cone-only
-// re-bisection, SoA omega sweeps) buys on exactly that regime, same torus
-// with the knob on vs off.  The JSON records all regimes honestly, each E9
-// / E9d row with its per-phase timing split (apply / flood / refine / eval
-// / broadcast).
+// After a single-coefficient edit, IncrementalSolver (engine C's kept
+// tables, src/dynamic/incremental_solver.hpp) re-bisects only the edit's t
+// cone and re-derives s, g± and x on the radius-D(R) ball, while the
+// baseline pays a whole-instance scratch engine-C solve -- the fastest
+// scratch solver.  Every incremental output is compared BIT-for-bit against
+// that scratch solve, so the bench doubles as a large-instance correctness
+// probe.  Each E9 row carries the per-phase timing split (apply / flood /
+// eval / broadcast) and the cone and ball sizes.
 //
 // The distributed rows (engine M / S) measure the same story in the
 // message-passing model: a dynamic SyncNetwork replays its recorded
@@ -34,6 +20,12 @@
 // dist/wire.hpp), which brings engine M's resident history at R = 4 / 10k
 // down from the ~0.5 GB that used to stop these rows at R = 3.
 //
+// The E9c rows run LocalResolver end to end on original-instance edits
+// (membership churn through the id-map fast path) against a scratch
+// solve_local with engine C, at two sizes per workload: the per-edit time,
+// the dirty ball and the original agents mapped back must not move while n
+// grows -- the finish (map-back, omega, stats) is O(ball) too.
+//
 // Usage: bench_dynamics [BENCH_dynamics.json] [--smoke]
 #include <cmath>
 #include <cstdio>
@@ -44,7 +36,6 @@
 #include "core/local_solver.hpp"
 #include "core/solver_api.hpp"
 #include "core/special_form.hpp"
-#include "core/view_solver.hpp"
 #include "dynamic/incremental_solver.hpp"
 #include "gen/generators.hpp"
 #include "lp/delta.hpp"
@@ -58,46 +49,36 @@ using namespace locmm;
 namespace {
 
 struct RunResult {
-  std::string table = "E9";  // which table the row belongs to (E9 / E9d)
   std::string generator;
   std::int32_t R = 0;
   std::int64_t agents = 0;
   std::int64_t edits = 0;
-  bool warm = true;            // Options::warm_start (fat-view fast path)
   double cold_ms = 0.0;        // initial IncrementalSolver solve
   double inc_ms = 0.0;         // mean per-edit incremental re-solve
-  double scratch_ms = 0.0;     // mean per-edit from-scratch re-solve
+  double scratch_ms = 0.0;     // mean per-edit scratch engine-C re-solve
   double speedup = 0.0;        // scratch_ms / inc_ms
   double agents_dirty = 0.0;   // mean dirty-ball size
-  double classes_dirty = 0.0;  // mean invalidated classes per edit
-  double cache_hits = 0.0;     // mean colour-cache hits per edit
+  double t_recomputed = 0.0;   // mean t re-bisections (the t cone)
   // Mean per-edit phase timings of the incremental path (UpdateStats).
   double apply_us = 0.0;      // instance + derived arrays + graph patch
-  double flood_us = 0.0;      // dirty-ball (and t-cone) BFS
-  double refine_us = 0.0;     // cone-restricted WL recolouring
-  double eval_us = 0.0;       // dirty-class evaluation
-  double broadcast_us = 0.0;  // class-output scatter
-  // Mean per-edit fat-view fast-path counters (zero with warm off).
-  double warm_reused = 0.0;      // t values served from the snapshot
-  double cone_recomputed = 0.0;  // bisections re-run inside the cone
-  double cone_invalidated = 0.0;  // snapshot entries invalidated per edit
+  double flood_us = 0.0;      // dirty-ball and t-cone BFS
+  double eval_us = 0.0;       // t re-bisection, s, g± and x on the ball
+  double broadcast_us = 0.0;  // table commit and objective sums
   bool identical = true;       // incremental == scratch, bitwise, every edit
 };
 
 RunResult run_workload(const std::string& name, const MaxMinInstance& inst,
-                       std::int32_t R, std::int32_t edits, std::uint64_t seed,
-                       bool warm_start = true) {
+                       std::int32_t R, std::int32_t edits,
+                       std::uint64_t seed) {
   RunResult res;
   res.generator = name;
   res.R = R;
   res.agents = inst.num_agents();
   res.edits = edits;
-  res.warm = warm_start;
 
   Timer cold_timer;
   IncrementalSolver::Options opt;
   opt.R = R;
-  opt.warm_start = warm_start;
   IncrementalSolver inc(inst, opt);
   res.cold_ms = cold_timer.millis();
 
@@ -116,20 +97,16 @@ RunResult run_workload(const std::string& name, const MaxMinInstance& inst,
     res.inc_ms += inc_timer.millis();
     const auto& u = inc.last_update();
     res.agents_dirty += static_cast<double>(u.agents_dirty);
-    res.classes_dirty += static_cast<double>(u.classes_invalidated);
-    res.cache_hits += static_cast<double>(u.class_cache_hits);
+    res.t_recomputed += static_cast<double>(u.cone_t_recomputed);
     res.apply_us += u.apply_us;
     res.flood_us += u.flood_us;
-    res.refine_us += u.refine_us;
     res.eval_us += u.eval_us;
     res.broadcast_us += u.broadcast_us;
-    res.warm_reused += static_cast<double>(u.warm_t_reused);
-    res.cone_recomputed += static_cast<double>(u.cone_t_recomputed);
-    res.cone_invalidated += static_cast<double>(u.cone_invalidated);
 
     cur.apply(delta);
     Timer scratch_timer;
-    const std::vector<double> scratch = solve_special_local_views(cur, R);
+    const std::vector<double> scratch =
+        solve_special_centralized(SpecialFormInstance(cur), R).x;
     res.scratch_ms += scratch_timer.millis();
     for (std::size_t i = 0; i < scratch.size(); ++i) {
       if (std::memcmp(&scratch[i], &inc.x()[i], sizeof(double)) != 0) {
@@ -144,16 +121,11 @@ RunResult run_workload(const std::string& name, const MaxMinInstance& inst,
   res.inc_ms /= n;
   res.scratch_ms /= n;
   res.agents_dirty /= n;
-  res.classes_dirty /= n;
-  res.cache_hits /= n;
+  res.t_recomputed /= n;
   res.apply_us /= n;
   res.flood_us /= n;
-  res.refine_us /= n;
   res.eval_us /= n;
   res.broadcast_us /= n;
-  res.warm_reused /= n;
-  res.cone_recomputed /= n;
-  res.cone_invalidated /= n;
   res.speedup = res.inc_ms > 0.0 ? res.scratch_ms / res.inc_ms : 0.0;
   LOCMM_CHECK_MSG(res.identical, "incremental re-solve diverged from the "
                                  "from-scratch solve on "
@@ -163,29 +135,22 @@ RunResult run_workload(const std::string& name, const MaxMinInstance& inst,
 
 std::string json_row(const RunResult& r) {
   std::string s = "    {";
-  s += "\"table\": \"" + r.table + "\"";
+  s += "\"table\": \"E9\"";
   s += ", \"generator\": \"" + r.generator + "\"";
-  s += ", \"engine\": \"L\"";
+  s += ", \"engine\": \"C\"";
   s += ", \"R\": " + std::to_string(r.R);
   s += ", \"agents\": " + std::to_string(r.agents);
   s += ", \"edits\": " + std::to_string(r.edits);
-  s += ", \"warm_start\": ";
-  s += r.warm ? "true" : "false";
   s += ", \"cold_ms\": " + std::to_string(r.cold_ms);
   s += ", \"incremental_ms\": " + std::to_string(r.inc_ms);
   s += ", \"scratch_ms\": " + std::to_string(r.scratch_ms);
   s += ", \"speedup\": " + std::to_string(r.speedup);
   s += ", \"agents_dirty\": " + std::to_string(r.agents_dirty);
-  s += ", \"classes_invalidated\": " + std::to_string(r.classes_dirty);
-  s += ", \"class_cache_hits\": " + std::to_string(r.cache_hits);
+  s += ", \"t_recomputed\": " + std::to_string(r.t_recomputed);
   s += ", \"apply_us\": " + std::to_string(r.apply_us);
   s += ", \"flood_us\": " + std::to_string(r.flood_us);
-  s += ", \"refine_us\": " + std::to_string(r.refine_us);
   s += ", \"eval_us\": " + std::to_string(r.eval_us);
   s += ", \"broadcast_us\": " + std::to_string(r.broadcast_us);
-  s += ", \"warm_t_reused\": " + std::to_string(r.warm_reused);
-  s += ", \"cone_t_recomputed\": " + std::to_string(r.cone_recomputed);
-  s += ", \"cone_invalidated\": " + std::to_string(r.cone_invalidated);
   s += ", \"bit_identical\": ";
   s += r.identical ? "true" : "false";
   s += "}";
@@ -253,12 +218,10 @@ DistRunResult run_dist_workload(const std::string& name,
     res.agents_dirty += static_cast<double>(u.agents_dirty);
 
     cur.apply(delta);
-    // Oracle: engine S reduces in engine C's exact port order; engine M
-    // carries engine L's bits (tests/dynamic_dist_test.cpp locks both).
+    // Oracle: scratch engine C, which engines M and S match bitwise
+    // (tests/cross_engine_test.cpp).
     const std::vector<double> scratch =
-        engine == DynamicEngine::kStreaming
-            ? solve_special_centralized(SpecialFormInstance(cur), R).x
-            : solve_special_local_views(cur, R);
+        solve_special_centralized(SpecialFormInstance(cur), R).x;
     for (std::size_t i = 0; i < scratch.size(); ++i) {
       if (std::memcmp(&scratch[i], &inc.x()[i], sizeof(double)) != 0) {
         res.identical = false;
@@ -314,18 +277,18 @@ struct ChurnResult {
   std::int64_t agents = 0;
   std::int64_t edits = 0;
   double cold_ms = 0.0;
-  double fast_ms = 0.0;    // mean per-edit id-map fast-path resolve
-  double reinit_ms = 0.0;  // mean per-edit cache-warm re-initialise
-  double speedup = 0.0;    // reinit_ms / fast_ms
+  double fast_ms = 0.0;     // mean per-edit id-map fast-path resolve
+  double scratch_ms = 0.0;  // mean per-edit scratch solve_local (engine C)
+  double speedup = 0.0;     // scratch_ms / fast_ms
   double agents_dirty = 0.0;
-  bool identical = true;  // fast path == re-init oracle, bitwise
+  double mapped_back = 0.0;  // original agents mapped back per edit
+  bool identical = true;     // fast path == scratch, bitwise
 };
 
 // A single-membership structural edit: remove the FIRST entry of a random
 // |Vi| = 2 constraint row and re-add it with a fresh coefficient.  The
 // re-add appends at the row end, so the port order changes and the edit is
-// genuinely structural -- the differential oracle cannot absorb it as a
-// coefficient diff and must re-initialise.
+// genuinely structural.
 InstanceDelta churn_edit(const MaxMinInstance& cur, Rng& rng) {
   const auto i = static_cast<ConstraintId>(
       rng.below(static_cast<std::uint64_t>(cur.num_constraints())));
@@ -345,22 +308,12 @@ ChurnResult run_churn_workload(const std::string& name,
   res.agents = inst.num_agents();
   res.edits = edits;
 
-  LocalParams fast_params;
-  fast_params.R = R;
-  fast_params.engine = LocalEngine::kLocalViews;
-  LocalParams reinit_params = fast_params;
-  reinit_params.map_structural_deltas = false;
+  LocalParams params;
+  params.R = R;
 
   Timer cold_timer;
-  LocalResolver fast(inst, fast_params);
+  LocalResolver fast(inst, params);
   res.cold_ms = cold_timer.millis();
-  LocalResolver reinit(inst, reinit_params);
-  // Side probe on the same (natively special) instance: harvests the
-  // dirty-ball size of each mapped delta, which the resolver does not
-  // export.  Untimed.
-  IncrementalSolver::Options popt;
-  popt.R = R;
-  IncrementalSolver probe(inst, popt);
 
   MaxMinInstance cur = inst;
   Rng rng(seed);
@@ -374,54 +327,58 @@ ChurnResult run_churn_workload(const std::string& name,
     LOCMM_CHECK_MSG(fast.last_resolve_was_delta(),
                     "membership edit fell off the id-map fast path on "
                         << name << " at R = " << R);
+    res.agents_dirty +=
+        static_cast<double>(fast.solver().last_update().agents_dirty);
+    res.mapped_back += static_cast<double>(fast.last_mapped_back());
 
-    Timer reinit_timer;
-    reinit.resolve(delta);
-    res.reinit_ms += reinit_timer.millis();
-    LOCMM_CHECK_MSG(!reinit.last_resolve_was_delta(),
-                    "re-init oracle unexpectedly took a delta path on "
-                        << name << " at R = " << R);
+    Timer scratch_timer;
+    const LocalSolution scratch = solve_local(cur, params);
+    res.scratch_ms += scratch_timer.millis();
 
-    probe.apply(delta);
-    res.agents_dirty += static_cast<double>(probe.last_update().agents_dirty);
-
-    const std::vector<double>& xf = fast.solution().x;
-    const std::vector<double>& xr = reinit.solution().x;
-    for (std::size_t i = 0; i < xf.size(); ++i) {
-      if (std::memcmp(&xf[i], &xr[i], sizeof(double)) != 0) {
+    const LocalSolution& sol = fast.solution();
+    for (std::size_t i = 0; i < scratch.x.size(); ++i) {
+      if (std::memcmp(&sol.x[i], &scratch.x[i], sizeof(double)) != 0) {
         res.identical = false;
         std::fprintf(stderr,
                      "MISMATCH churn %s R=%d edit=%d agent=%zu: %.17g vs "
                      "%.17g\n",
-                     name.c_str(), R, e, i, xf[i], xr[i]);
+                     name.c_str(), R, e, i, sol.x[i], scratch.x[i]);
       }
+    }
+    if (std::memcmp(&sol.omega, &scratch.omega, sizeof(double)) != 0) {
+      res.identical = false;
+      std::fprintf(stderr, "MISMATCH churn %s R=%d edit=%d: omega\n",
+                   name.c_str(), R, e);
     }
   }
   const double n = static_cast<double>(edits);
   res.fast_ms /= n;
-  res.reinit_ms /= n;
+  res.scratch_ms /= n;
   res.agents_dirty /= n;
-  res.speedup = res.fast_ms > 0.0 ? res.reinit_ms / res.fast_ms : 0.0;
+  res.mapped_back /= n;
+  res.speedup = res.fast_ms > 0.0 ? res.scratch_ms / res.fast_ms : 0.0;
   LOCMM_CHECK_MSG(res.identical,
-                  "id-map fast path diverged from the cache-warm re-init "
-                  "(== scratch) solve on "
+                  "id-map fast path diverged from the scratch engine-C "
+                  "solve on "
                       << name << " at R = " << R);
   return res;
 }
 
 std::string json_churn_row(const ChurnResult& r) {
   std::string s = "    {";
-  s += "\"generator\": \"" + r.generator + "\"";
-  s += ", \"engine\": \"L\"";
+  s += "\"table\": \"E9c\"";
+  s += ", \"generator\": \"" + r.generator + "\"";
+  s += ", \"engine\": \"C\"";
   s += ", \"edit\": \"membership\"";
   s += ", \"R\": " + std::to_string(r.R);
   s += ", \"agents\": " + std::to_string(r.agents);
   s += ", \"edits\": " + std::to_string(r.edits);
   s += ", \"cold_ms\": " + std::to_string(r.cold_ms);
   s += ", \"incremental_ms\": " + std::to_string(r.fast_ms);
-  s += ", \"reinit_ms\": " + std::to_string(r.reinit_ms);
+  s += ", \"scratch_ms\": " + std::to_string(r.scratch_ms);
   s += ", \"speedup\": " + std::to_string(r.speedup);
   s += ", \"agents_dirty\": " + std::to_string(r.agents_dirty);
+  s += ", \"mapped_back\": " + std::to_string(r.mapped_back);
   s += ", \"bit_identical\": ";
   s += r.identical ? "true" : "false";
   s += "}";
@@ -474,20 +431,16 @@ int main(int argc, char** argv) {
     const MaxMinInstance* inst;
     std::int32_t top_R;
   };
-  // The circulant stops at R = 3: its radius-29 dirty ball at R = 4 covers
-  // hundreds of fat-view classes, so the incremental path degenerates to
-  // cold cost (recorded as such in the torus row already -- no information
-  // lost, a lot of bench minutes saved).
   const std::vector<Workload> workloads = {
-      {"cycle_wheel", &wheel, smoke ? 3 : 4},
-      {"paired_torus_grid", &grid, smoke ? 3 : 4},
-      {"regular_circulant", &circulant, 3},
+      {"cycle_wheel", &wheel, 4},
+      {"paired_torus_grid", &grid, 4},
+      {"regular_circulant", &circulant, 4},
   };
 
-  Table table("E9: incremental vs from-scratch re-solve after "
-              "single-coefficient edits (engine L, 1 thread)");
+  Table table("E9: incremental vs scratch engine-C re-solve after "
+              "single-coefficient edits (engine C, 1 thread)");
   table.columns({"generator", "R", "agents", "cold_ms", "inc_ms",
-                 "scratch_ms", "speedup", "dirty", "classes", "cache_hits",
+                 "scratch_ms", "speedup", "dirty", "t_cone", "eval_us",
                  "identical"});
   std::vector<RunResult> runs;
   for (const Workload& w : workloads) {
@@ -503,68 +456,16 @@ int main(int argc, char** argv) {
                  Table::cell(r.agents), Table::cell(r.cold_ms, 1),
                  Table::cell(r.inc_ms, 2), Table::cell(r.scratch_ms, 1),
                  Table::cell(r.speedup, 1), Table::cell(r.agents_dirty, 0),
-                 Table::cell(r.classes_dirty, 0),
-                 Table::cell(r.cache_hits, 0),
+                 Table::cell(r.t_recomputed, 0), Table::cell(r.eval_us, 0),
                  Table::cell(r.identical ? "yes" : "NO")});
       runs.push_back(r);
     }
   }
   table.note("every incremental solution is compared bit-for-bit with the "
-             "from-scratch solve (the bench aborts on mismatch)");
-  table.note("ISSUE target: speedup >= 10 at R = 4 on a >= 10k-agent "
-             "instance (cycle_wheel row)");
+             "scratch engine-C solve (the bench aborts on mismatch)");
+  table.note("dirty = the radius-D(R) ball whose s, g and x are re-derived; "
+             "t_cone = t values re-bisected (radius 4r+3)");
   table.print();
-
-  // E9d: the fat-view fast path head-to-head -- the same torus edited with
-  // the DP t-table warm start on vs off.  On fat-view instances per-class
-  // evaluation dominates, and inside each evaluation the t bisections do;
-  // warm start persists the position-independent t values across edits
-  // (Example 2: t_u depends only on u's radius-(4r+3) neighbourhood) and
-  // re-bisects only the edit's t-dependency cone, serving every other
-  // origin from the snapshot.  Outputs are bitwise identical either way --
-  // run_workload compares every edit against the from-scratch solve and
-  // the bench aborts on divergence, so the warm rows are self-checked.
-  const std::int32_t fat_R = smoke ? 3 : 4;
-  Table fat_table(
-      "E9d: fat-view fast path -- DP t-table warm start on/off "
-      "(paired torus, engine L, 1 thread)");
-  fat_table.columns({"warm", "R", "agents", "cold_ms", "inc_ms",
-                     "scratch_ms", "speedup", "t_reused", "t_recomp", "cone",
-                     "identical"});
-  std::vector<RunResult> fat_runs;
-  for (const bool warm : {false, true}) {
-    std::fprintf(stderr, "running fat-view torus R=%d warm=%s (%d agents)...\n",
-                 fat_R, warm ? "on" : "off", grid.num_agents());
-    Timer row_timer;
-    RunResult r =
-        run_workload("paired_torus_grid", grid, fat_R, edits,
-                     4000 + static_cast<std::uint64_t>(fat_R), warm);
-    r.table = "E9d";
-    std::fprintf(stderr, "  done in %.1f s: %.2f ms vs %.1f ms (%.0fx)\n",
-                 row_timer.seconds(), r.inc_ms, r.scratch_ms, r.speedup);
-    fat_table.row({Table::cell(warm ? "on" : "off"), Table::cell(r.R),
-                   Table::cell(r.agents), Table::cell(r.cold_ms, 1),
-                   Table::cell(r.inc_ms, 2), Table::cell(r.scratch_ms, 1),
-                   Table::cell(r.speedup, 1), Table::cell(r.warm_reused, 0),
-                   Table::cell(r.cone_recomputed, 0),
-                   Table::cell(r.cone_invalidated, 0),
-                   Table::cell(r.identical ? "yes" : "NO")});
-    runs.push_back(std::move(r));
-    fat_runs.push_back(runs.back());
-  }
-  fat_table.note("t_reused = snapshot-served bisections per edit; t_recomp "
-                 "= bisections re-run inside the invalidated cone; cone = "
-                 "snapshot entries the edit's radius-(4r+3) flood "
-                 "invalidated");
-  fat_table.note("ISSUE target: warm speedup >= 10 on the full-size torus "
-                 "at R = 4 (~4.5x without the fast path)");
-  fat_table.print();
-  if (!smoke) {
-    LOCMM_CHECK_MSG(fat_runs.back().speedup >= 10.0,
-                    "fat-view warm-start speedup "
-                        << fat_runs.back().speedup << " < 10 on the torus at "
-                        << "R = " << fat_R);
-  }
 
   // Distributed dynamic rows: the same single-coefficient edits carried by
   // SyncNetwork replay.  Each engine runs at TWO sizes; the fresh columns
@@ -624,48 +525,71 @@ int main(int argc, char** argv) {
   }
 
   // Membership-churn rows: single-membership structural edits resolved
-  // through the pipeline's persistent id map (LocalResolver fast path)
-  // against the cache-warm re-initialise the same resolver falls back to
-  // with the knob off.  TWO sizes per R: the per-edit dirty ball (and hence
-  // the fresh work) must not move while n doubles -- the structural edits
-  // are O(ball), independent of instance size.
-  const MaxMinInstance churn_small = layered_instance(
-      {.delta_k = 2, .layers = smoke ? 60 : 2500, .width = 1, .twist = 0});
-  const MaxMinInstance churn_large = layered_instance(
-      {.delta_k = 2, .layers = smoke ? 120 : 5000, .width = 1, .twist = 0});
+  // end to end through LocalResolver's id-map fast path against a scratch
+  // solve_local (engine C).  TWO sizes per workload: the per-edit dirty
+  // ball and the originals mapped back must not move while n grows -- the
+  // structural edits and the finish are O(ball), independent of n.  The
+  // torus pair is the edit_stream shape (R = 4, up to 100k agents).
+  struct ChurnWorkload {
+    const char* name;
+    MaxMinInstance small, large;
+    std::int32_t R;
+  };
+  std::vector<ChurnWorkload> churn_workloads;
+  for (const std::int32_t R : {2, 3}) {
+    churn_workloads.push_back(
+        {"cycle_wheel",
+         layered_instance({.delta_k = 2, .layers = smoke ? 60 : 2500,
+                           .width = 1, .twist = 0}),
+         layered_instance({.delta_k = 2, .layers = smoke ? 120 : 5000,
+                           .width = 1, .twist = 0}),
+         R});
+  }
+  churn_workloads.push_back(
+      {"paired_torus_grid",
+       special_grid_instance({.rows = 4, .cols = smoke ? 60 : 2500}, 1),
+       special_grid_instance({.rows = 4, .cols = smoke ? 120 : 25000}, 1),
+       4});
   Table churn_table(
-      "E9c: membership churn -- id-map structural deltas vs cache-warm "
-      "re-init (engine L, wheel, 1 thread)");
-  churn_table.columns({"R", "agents", "cold_ms", "fast_ms", "reinit_ms",
-                       "speedup", "dirty", "identical"});
+      "E9c: membership churn -- LocalResolver id-map fast path vs scratch "
+      "solve_local (engine C, 1 thread)");
+  churn_table.columns({"generator", "R", "agents", "cold_ms", "fast_ms",
+                       "scratch_ms", "speedup", "dirty", "mapped",
+                       "identical"});
   std::vector<ChurnResult> churn_runs;
-  for (std::int32_t R = 2; R <= 3; ++R) {
-    for (const MaxMinInstance* inst : {&churn_small, &churn_large}) {
-      std::fprintf(stderr, "running churn R=%d (%d agents)...\n", R,
-                   inst->num_agents());
+  for (const ChurnWorkload& w : churn_workloads) {
+    for (const MaxMinInstance* inst : {&w.small, &w.large}) {
+      std::fprintf(stderr, "running churn %s R=%d (%d agents)...\n", w.name,
+                   w.R, inst->num_agents());
       const ChurnResult r =
-          run_churn_workload("cycle_wheel", *inst, R, edits,
-                             3000 + static_cast<std::uint64_t>(R));
-      churn_table.row({Table::cell(r.R), Table::cell(r.agents),
-                       Table::cell(r.cold_ms, 1), Table::cell(r.fast_ms, 2),
-                       Table::cell(r.reinit_ms, 1), Table::cell(r.speedup, 1),
+          run_churn_workload(w.name, *inst, w.R, edits,
+                             3000 + static_cast<std::uint64_t>(w.R));
+      churn_table.row({Table::cell(r.generator), Table::cell(r.R),
+                       Table::cell(r.agents), Table::cell(r.cold_ms, 1),
+                       Table::cell(r.fast_ms, 3), Table::cell(r.scratch_ms, 1),
+                       Table::cell(r.speedup, 1),
                        Table::cell(r.agents_dirty, 0),
+                       Table::cell(r.mapped_back, 0),
                        Table::cell(r.identical ? "yes" : "NO")});
       churn_runs.push_back(r);
     }
   }
   churn_table.note("fast = resolve through PipelineIdMap::map_delta (no "
-                   "pipeline re-run, O(ball) splice); reinit = the legacy "
-                   "rebuild with the kept view-class cache");
-  churn_table.note("ISSUE target: speedup >= 10 at 10k agents, R in {2, 3}; "
-                   "dirty-ball size equal across the two sizes of each R");
+                   "pipeline re-run, O(ball) splice, map-back and omega); "
+                   "scratch = pipeline + engine C + map-back");
+  churn_table.note("dirty-ball size and originals mapped back must be equal "
+                   "across the two sizes of each row pair");
   churn_table.print();
   for (std::size_t i = 0; i + 1 < churn_runs.size(); i += 2) {
     LOCMM_CHECK_MSG(
-        churn_runs[i].agents_dirty == churn_runs[i + 1].agents_dirty,
-        "per-edit dirty ball scaled with n: "
-            << churn_runs[i].agents_dirty << " at " << churn_runs[i].agents
-            << " agents vs " << churn_runs[i + 1].agents_dirty << " at "
+        churn_runs[i].agents_dirty == churn_runs[i + 1].agents_dirty &&
+            churn_runs[i].mapped_back == churn_runs[i + 1].mapped_back,
+        "per-edit work scaled with n: "
+            << churn_runs[i].agents_dirty << " dirty / "
+            << churn_runs[i].mapped_back << " mapped at "
+            << churn_runs[i].agents << " agents vs "
+            << churn_runs[i + 1].agents_dirty << " / "
+            << churn_runs[i + 1].mapped_back << " at "
             << churn_runs[i + 1].agents);
     if (!smoke) {
       LOCMM_CHECK_MSG(churn_runs[i + 1].speedup >= 10.0,

@@ -9,12 +9,12 @@
 #                           not modeled) plus the E8d cross-process rows
 #                           (engine M forked onto 2 ranks over shm rings and
 #                           sockets, present in --smoke too)
-#   BENCH_dynamics.json     incremental (dirty-ball) vs from-scratch re-solve
-#                           after single-coefficient edits (E9), with
-#                           per-phase timings, plus the E9d fat-view rows
-#                           (torus, DP t-table warm start on/off, bitwise
-#                           self-checked -- present in --smoke too at
-#                           CI-sized torus/R)
+#   BENCH_dynamics.json     incremental (dirty-ball) vs scratch engine-C
+#                           re-solve after single-coefficient edits (E9),
+#                           with per-phase timings, the distributed replay
+#                           rows (E9b) and LocalResolver membership churn
+#                           against scratch solve_local (E9c), all bitwise
+#                           self-checked
 #   BENCH_faults.json       recovery overhead under seeded fault injection
 #                           (drop sweep, chaos + crash, permanent crash; E11)
 #   BENCH_serve.json        multi-tenant SolverService churn: sustained

@@ -12,12 +12,13 @@
 // through IncrementalSolver::apply, and every update is compared against
 // what a from-scratch re-solve would have cost.  The outputs are
 // bit-identical (the property tests assert it; here we spot-check), but the
-// incremental path pays for the dirty ball only: WL recolouring shrinks
-// from O(D |E|) to the ball's cone, and most view classes come back as
-// colour-keyed cache hits.
+// incremental path pays for the dirty ball only: it re-bisects the t values
+// of the edit's radius-(4r+3) cone and re-derives s, g and x on the
+// radius-D(R) ball, keeping engine C's tables everywhere else.
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/local_solver.hpp"
 #include "core/view_solver.hpp"
 #include "dynamic/incremental_solver.hpp"
 #include "gen/generators.hpp"
@@ -49,11 +50,12 @@ int main(int argc, char** argv) {
   // One from-scratch re-solve, for the comparison column.
   MaxMinInstance cur = grid;
   Timer scratch_timer;
-  std::vector<double> scratch = solve_special_local_views(cur, R);
+  std::vector<double> scratch =
+      solve_special_centralized(SpecialFormInstance(cur), R).x;
   const double scratch_ms = scratch_timer.millis();
 
-  std::printf("%5s %10s %10s %8s %8s %8s %10s\n", "edit", "inc_ms",
-              "scratch_ms", "dirty", "reused", "classes", "cache_hits");
+  std::printf("%5s %10s %10s %8s %8s %8s\n", "edit", "inc_ms", "scratch_ms",
+              "dirty", "reused", "t_cone");
   Rng rng(99);
   double total_inc = 0.0;
   for (std::int32_t e = 0; e < edits; ++e) {
@@ -72,15 +74,14 @@ int main(int argc, char** argv) {
     cur.apply(delta);
 
     const auto& u = inc.last_update();
-    std::printf("%5d %10.2f %10.1f %8lld %8lld %8lld %10lld\n", e, inc_ms,
+    std::printf("%5d %10.3f %10.1f %8lld %8lld %8lld\n", e, inc_ms,
                 scratch_ms, static_cast<long long>(u.agents_dirty),
                 static_cast<long long>(u.agents_reused),
-                static_cast<long long>(u.classes_invalidated),
-                static_cast<long long>(u.class_cache_hits));
+                static_cast<long long>(u.cone_t_recomputed));
   }
 
   // Spot-check the final state against a from-scratch solve.
-  scratch = solve_special_local_views(cur, R);
+  scratch = solve_special_centralized(SpecialFormInstance(cur), R).x;
   double max_diff = 0.0;
   for (std::size_t v = 0; v < scratch.size(); ++v) {
     const double d = inc.x()[v] - scratch[v];

@@ -55,7 +55,7 @@ std::vector<double> output_x(const GTables& g, std::int32_t r) {
   LOCMM_CHECK(static_cast<std::size_t>(r) + 1 == g.plus.size());
   LOCMM_CHECK(g.plus.size() == g.minus.size());
   const std::size_t n = g.plus[0].size();
-  const double scale = 1.0 / (2.0 * static_cast<double>(r + 2));  // R = r + 2
+  const double two_R = 2.0 * static_cast<double>(r + 2);  // R = r + 2
   std::vector<double> x(n, 0.0);
   for (std::size_t v = 0; v < n; ++v) {
     double sum = 0.0;
@@ -63,7 +63,7 @@ std::vector<double> output_x(const GTables& g, std::int32_t r) {
       const auto sd = static_cast<std::size_t>(d);
       sum += g.plus[sd][v] + g.minus[sd][v];
     }
-    x[v] = scale * sum;  // (18)
+    x[v] = sum / two_R;  // (18)
   }
   return x;
 }

@@ -6,8 +6,8 @@
 // t, s and g (paper Example 2): the unfolding subtree below an agent copy is
 // determined by the agent's identity in G, so one value per (agent, depth)
 // suffices.  Engine L (view_solver.hpp) recomputes the same quantities
-// definitionally on explicit local views; the integration tests require
-// bitwise-tolerance agreement between the two.
+// definitionally on explicit local views, with the same reduction order;
+// tests/cross_engine_test.cpp requires the two to agree bitwise.
 //
 // Phases (paper §5):
 //   1. t_v  per agent        -- optimum of the alternating tree A_v   (§5.1-2)

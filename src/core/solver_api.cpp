@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/local_solver.hpp"
-#include "core/view_class_cache.hpp"
 #include "core/view_solver.hpp"
 #include "dist/fault.hpp"
 #include "dist/gather.hpp"
@@ -156,7 +155,7 @@ LocalSolution solve_local(const MaxMinInstance& inst,
 
 LocalResolver::LocalResolver(const MaxMinInstance& inst,
                              const LocalParams& params)
-    : params_(params), inst_(inst), cache_(std::make_unique<ViewClassCache>()) {
+    : params_(params), inst_(inst) {
   LOCMM_CHECK_MSG(params_.R >= 2, "R must be >= 2");
   LOCMM_CHECK_MSG(params_.faults == nullptr ||
                       params_.engine == LocalEngine::kMessagePassing ||
@@ -170,15 +169,14 @@ LocalResolver::~LocalResolver() = default;
 LocalResolver::LocalResolver(LocalResolver&&) noexcept = default;
 LocalResolver& LocalResolver::operator=(LocalResolver&&) noexcept = default;
 
+const IncrementalSolver& LocalResolver::solver() const { return *inc_; }
+
 void LocalResolver::solve_from_pipeline() {
   IncrementalSolver::Options opt;
   opt.R = params_.R;
   opt.t_search = params_.t_search;
   opt.threads = params_.threads;
-  opt.cache = cache_.get();
-  // kCentralized has no incremental counterpart (its shared DP is global by
-  // construction); the resolver carries it on the engine-L dirty-ball path,
-  // which the tests hold bit-identical to scratch engine-L solves.
+  // Engines C and L agree bitwise, so both ride engine C's kept tables.
   switch (params_.engine) {
     case LocalEngine::kCentralized:
     case LocalEngine::kLocalViews:
@@ -194,13 +192,79 @@ void LocalResolver::solve_from_pipeline() {
   // The scenario applies to the distributed COLD solve only; subsequent
   // replays run over the repaired (bitwise fault-free) history.  When the
   // cold run cannot fully recover, the IncrementalSolver degrades itself to
-  // the engine-L dirty-ball path and we surface that here.
+  // the engine-C tables and we surface that here.
   opt.cold_faults = params_.faults;
   inc_ = std::make_unique<IncrementalSolver>(pipeline_.special, opt);
-  sol_.x_special = inc_->x();
   sol_.net_stats = inc_->cold_net_stats();
   sol_.degraded_to_local = inc_->degraded_to_local();
-  finish_solution(inst_, pipeline_, params_.R, sol_);
+  refresh_solution();
+}
+
+void LocalResolver::refresh_solution() {
+  sol_.x_special = inc_->x();
+  sol_.x = pipeline_.map_back(sol_.x_special);
+  orig_sums_ = MinTree(inst_.objective_values(sol_.x));
+  orig_stats_ = StatsTracker(inst_);
+  special_stats_ = StatsTracker(pipeline_.special);
+  last_mapped_back_ = static_cast<std::int64_t>(sol_.x.size());
+  finish_summary();
+}
+
+void LocalResolver::patch_solution(const MappedDelta& mapped,
+                                   const InstanceDelta& delta) {
+  // The special entries the solver rewrote, and their original owners plus
+  // the agents whose gamma the batch changed: every original x entry that
+  // can have moved.
+  const std::vector<double>& xs = inc_->x();
+  originals_.clear();
+  for (const AgentId h : inc_->last_rewritten()) {
+    sol_.x_special[static_cast<std::size_t>(h)] =
+        xs[static_cast<std::size_t>(h)];
+    if (const AgentId v = pipeline_.id_map.owner_of(h); v >= 0)
+      originals_.push_back(v);
+  }
+  for (const auto& [w, gamma] : mapped.gamma_updates) {
+    if (const AgentId v = pipeline_.id_map.owner_of(w); v >= 0)
+      originals_.push_back(v);
+  }
+  std::sort(originals_.begin(), originals_.end());
+  originals_.erase(std::unique(originals_.begin(), originals_.end()),
+                   originals_.end());
+  for (const AgentId v : originals_) {
+    sol_.x[static_cast<std::size_t>(v)] =
+        pipeline_.id_map.map_back_agent(v, sol_.x_special);
+  }
+  last_mapped_back_ = static_cast<std::int64_t>(originals_.size());
+
+  // The original objective rows those agents sit in, plus the rows the
+  // batch edits.
+  rows_.clear();
+  for (const AgentId v : originals_) {
+    for (const Incidence& inc : inst_.agent_objectives(v))
+      rows_.push_back(inc.row);
+  }
+  delta.for_each_touched_edge([&](RowKind kind, std::int32_t row, AgentId) {
+    if (kind == RowKind::kObjective) rows_.push_back(row);
+  });
+  std::sort(rows_.begin(), rows_.end());
+  rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
+  for (const ObjectiveId k : rows_) {
+    orig_sums_.set(static_cast<std::size_t>(k),
+                   inst_.objective_value(k, sol_.x));
+  }
+  finish_summary();
+}
+
+void LocalResolver::finish_summary() {
+  sol_.ratio_factor = pipeline_.ratio_factor;
+  sol_.special_stats = special_stats_.stats();
+  sol_.view_radius = view_radius(params_.R);
+  sol_.omega_special = inc_->omega();
+  sol_.omega = orig_sums_.min();
+  sol_.t_min_special = inc_->t_min();
+  const InstanceStats orig = orig_stats_.stats();
+  sol_.guarantee = theorem1_guarantee(std::max(orig.delta_i, 2),
+                                      std::max(orig.delta_k, 2), params_.R);
 }
 
 const LocalSolution& LocalResolver::resolve(const InstanceDelta& delta) {
@@ -226,30 +290,32 @@ const LocalSolution& LocalResolver::resolve(const InstanceDelta& delta) {
   // throw leaves the solver bitwise untouched and propagates with the
   // resolver equally untouched), and everything after it is infallible --
   // inst_.apply was admitted above, pipeline_.special is bitwise equal to
-  // the solver's instance so the same mapped delta applies, and the gamma
-  // fold + solution refresh are pure writes.
+  // the solver's instance so the same mapped delta applies, and the stats,
+  // gamma fold and solution patch are pure writes.
   if (params_.map_structural_deltas) {
     const std::optional<MappedDelta> mapped =
         pipeline_.id_map.map_delta(delta, inst_);
     if (mapped.has_value()) {
       inc_->apply(mapped->special);
+      orig_stats_.forget(inst_, delta);
+      special_stats_.forget(pipeline_.special, mapped->special);
       inst_.apply(delta);
       pipeline_.special.apply(mapped->special);
+      orig_stats_.count(inst_, delta);
+      special_stats_.count(pipeline_.special, mapped->special);
       pipeline_.id_map.apply_gamma_updates(*mapped);
       last_was_delta_ = true;
-      sol_.x_special = inc_->x();
       sol_.net_stats = inc_->last_update().net;
-      finish_solution(inst_, pipeline_, params_.R, sol_);
+      patch_solution(*mapped, delta);
       return sol_;
     }
   }
 
   // Strong guarantee for deeper failures too: snapshot the members a failed
-  // re-solve would otherwise leave half-updated (O(nnz), the price the old
-  // rejection-safety copy paid on every call -- now only both-ways cheap:
-  // the happy path moves them back out of scope).  inc_ needs no snapshot:
-  // its own apply() is transactional, and the re-initialisation path only
-  // replaces it after the new solver constructed successfully.
+  // re-solve would otherwise leave half-updated (O(nnz), only on the slow
+  // tiers: the happy path moves them back out of scope).  inc_ needs no
+  // snapshot: its own apply() is transactional, and the re-initialisation
+  // path only replaces it after the new solver constructed successfully.
   MaxMinInstance prev_inst = inst_;
   Pipeline prev_pipeline = pipeline_;
   const bool prev_last_was_delta = last_was_delta_;
@@ -261,9 +327,8 @@ const LocalSolution& LocalResolver::resolve(const InstanceDelta& delta) {
     // the sparsity pattern, so a coefficient-only delta yields a special
     // form that diffs against the previous one as a small coefficient delta
     // (structural edits renumber the output and make the diff fail over to
-    // a cache-warm re-initialisation).  The pipeline itself is O(n) with
-    // small constants -- the dirty-ball solve it feeds is what was worth
-    // saving.
+    // a re-initialisation).  The pipeline itself is O(n) with small
+    // constants -- the dirty-ball solve it feeds is what was worth saving.
     Pipeline next = to_special_form(inst_);
     const std::optional<InstanceDelta> special_delta =
         diff_instances(pipeline_.special, next.special);
@@ -272,16 +337,15 @@ const LocalSolution& LocalResolver::resolve(const InstanceDelta& delta) {
     if (special_delta.has_value()) {
       last_was_delta_ = true;
       inc_->apply(*special_delta);
-      sol_.x_special = inc_->x();
       // The dynamic path's scheduler accounting: fresh messages scale with
       // the dirty ball, replayed ones with what it consumed from the cache
-      // (both zero for the engine-L resolver, which never touches the
+      // (both zero for the engine-C resolver, which never touches the
       // wire).
       sol_.net_stats = inc_->last_update().net;
-      finish_solution(inst_, pipeline_, params_.R, sol_);
+      refresh_solution();
     } else {
       last_was_delta_ = false;
-      solve_from_pipeline();  // cache_ survives: colour-hits stay warm
+      solve_from_pipeline();
     }
   } catch (...) {
     // Roll the resolver back to the pre-call state.  inc_ already rolled

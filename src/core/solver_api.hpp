@@ -23,12 +23,12 @@
 #include "dist/message_passing.hpp"
 #include "lp/delta.hpp"
 #include "lp/instance.hpp"
+#include "support/min_tree.hpp"
 #include "transform/transform.hpp"
 
 namespace locmm {
 
 class IncrementalSolver;  // dynamic/incremental_solver.hpp
-class ViewClassCache;     // core/view_class_cache.hpp
 
 enum class LocalEngine {
   kCentralized,     // engine C: shared DP on G (fast path; default)
@@ -70,10 +70,9 @@ struct LocalSolution {
   std::vector<double> x_special;    // solution of the special-form instance
   double omega_special = 0.0;       // its utility there
   double t_min_special = 0.0;       // min_v t_v: upper bound on the special
-                                    // optimum (Lemmas 2-3); 0 on the
-                                    // incremental path (LocalResolver skips
-                                    // the whole-instance engine-C pass it
-                                    // would cost)
+                                    // optimum (Lemmas 2-3); 0 on a
+                                    // LocalResolver carried by engine M or
+                                    // S, which keep no t table
   double ratio_factor = 1.0;        // pipeline factor (delta_I / 2)
   double guarantee = 0.0;           // a-priori ratio bound (see above)
   InstanceStats special_stats;      // size of the transformed instance
@@ -97,7 +96,7 @@ struct LocalSolution {
   std::vector<std::uint8_t> degraded_special;
   // LocalResolver only: a faulty distributed cold solve that could not be
   // fully recovered dropped the recorded network and carried on over the
-  // engine-L dirty-ball path (see IncrementalSolver::degraded_to_local).
+  // engine-C tables (see IncrementalSolver::degraded_to_local).
   bool degraded_to_local = false;
 };
 
@@ -117,33 +116,32 @@ LocalSolution solve_local(const MaxMinInstance& inst,
 //     delta whenever every touched id provably leaves the §4 numbering
 //     fixed (non-gadget size-2 constraint rows at zero growth,
 //     singly-imaged agents with |Kv| preserved, non-singleton objective
-//     rows).  No pipeline re-run, no O(n) anything: the IncrementalSolver
-//     (src/dynamic) absorbs the mapped delta by re-evaluating only the
-//     radius-D(R) ball around the change, and the id map's gamma entries
-//     absorb any objective-coefficient rescale;
+//     rows).  Every step is O(ball), none touches all n: the
+//     IncrementalSolver (src/dynamic) re-derives the radius-D(R) ball, the
+//     resolver patches only the x_special entries of that ball, maps back
+//     only their original owners plus the agents whose §4.6 scale gamma
+//     changed, recomputes only the original objective rows those touch
+//     (omega is the minimum of a min-tree over the row sums), and keeps
+//     InstanceStats from per-size row counts (StatsTracker);
 //   * re-pipeline + diff: edits outside the fast path re-run the (cheap,
 //     deterministic) §4 pipeline on the edited original and diff the
 //     special-form outputs (lp/delta.hpp: diff_instances) into a
-//     coefficient delta for the same dirty-ball machinery;
+//     coefficient delta for the same dirty-ball machinery, then refresh the
+//     solution in O(n);
 //   * re-initialise: when the pipeline's numbering genuinely shifted (the
-//     diff fails), the resolver rebuilds its IncrementalSolver against the
-//     new special form while KEEPING the cross-solve ViewClassCache, so
-//     every view class ever evaluated is still served by a colour-keyed
-//     lookup and only genuinely new classes pay for an evaluation.
+//     diff fails), the resolver rebuilds its IncrementalSolver cold against
+//     the new special form.
 //
-// LocalParams::engine selects the incremental realisation: kLocalViews
-// re-solves through the engine-L dirty-ball machinery; kMessagePassing /
-// kStreaming hold a recorded SyncNetwork and replay it, re-executing only
-// dirty-ball nodes -- solution().net_stats then carries the replay's
-// fresh-vs-replayed message split (paper §1.3, distributed end to end).
-// For those three, solution().x is bit-identical to
-// solve_local(instance(), params) with the same engine on the edited
-// instance (tests/incremental_test.cpp, tests/dynamic_dist_test.cpp).
-// kCentralized has no incremental counterpart (its shared DP is global by
-// construction) and is carried on the engine-L path too: its resolver
-// matches scratch *engine-L* solves bitwise, which coincides with engine C
-// only to ~1e-9 once edits break the instance's symmetry.  t_min_special
-// is not maintained (see LocalSolution).
+// LocalParams::engine selects the incremental realisation: kCentralized
+// and kLocalViews keep engine C's tables (DynamicEngine::kMemoizedDp;
+// engines C and L agree bitwise, so one realisation serves both);
+// kMessagePassing / kStreaming hold a recorded SyncNetwork and replay it,
+// re-executing only dirty-ball nodes -- solution().net_stats then carries
+// the replay's fresh-vs-replayed message split (paper §1.3, distributed end
+// to end).  Either way solution() is bitwise solve_local(instance(), params)
+// on the edited instance -- x, omega, x_special, omega_special,
+// special_stats, guarantee, and t_min_special on the engine-C path
+// (tests/incremental_test.cpp, tests/dynamic_dist_test.cpp).
 class LocalResolver {
  public:
   explicit LocalResolver(const MaxMinInstance& inst,
@@ -167,22 +165,44 @@ class LocalResolver {
   // Whether the last resolve() fed the IncrementalSolver a special-form
   // delta -- the id-map fast path (structural or coefficient edits inside
   // its conditions) or the re-pipeline + diff path -- as opposed to
-  // re-initialising against a renumbered pipeline (still cache-warm).
-  // With map_structural_deltas, membership edits on id-stable regions
-  // report true; only numbering-shifting edits (gadget-adjacent rows,
-  // |Kv| changes, splits) fall back to false.
+  // re-initialising against a renumbered pipeline.  With
+  // map_structural_deltas, membership edits on id-stable regions report
+  // true; only numbering-shifting edits (gadget-adjacent rows, |Kv|
+  // changes, splits) fall back to false.
   bool last_resolve_was_delta() const { return last_was_delta_; }
+
+  // Original agents whose x entry the last resolve() mapped back: the
+  // owners of the rewritten special ball on the fast path, every original
+  // agent otherwise.
+  std::int64_t last_mapped_back() const { return last_mapped_back_; }
+
+  // The IncrementalSolver carrying the special form (its last_update()
+  // holds the per-edit counters).
+  const IncrementalSolver& solver() const;
 
  private:
   void solve_from_pipeline();  // (re)builds inc_ and sol_ from inst_
+  // Rebuilds the whole solution from inc_ (cold solve and the slow tiers).
+  void refresh_solution();
+  // The fast path's O(ball) solution patch after inc_ applied `mapped`.
+  void patch_solution(const MappedDelta& mapped, const InstanceDelta& delta);
+  // The summary fields every refresh writes last.
+  void finish_summary();
 
   LocalParams params_;
   MaxMinInstance inst_;
   Pipeline pipeline_;
-  std::unique_ptr<ViewClassCache> cache_;  // survives re-initialisation
   std::unique_ptr<IncrementalSolver> inc_;
   LocalSolution sol_;
   bool last_was_delta_ = false;
+  // Fast-path bookkeeping: InstanceStats of the original and of the
+  // special form, and the original objective row sums behind omega.
+  StatsTracker orig_stats_, special_stats_;
+  MinTree orig_sums_;
+  std::int64_t last_mapped_back_ = 0;
+  // Scratch of patch_solution.
+  std::vector<AgentId> originals_;
+  std::vector<ObjectiveId> rows_;
 };
 
 // The a-priori approximation guarantee of Theorem 1's algorithm for an

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/special_form.hpp"
-#include "support/deadline.hpp"
 
 namespace locmm {
 
@@ -80,24 +79,15 @@ struct TSearchStats {
   std::atomic<std::int64_t> broadcast_us{0};   // x_v fan-out to class members
 
   // Incremental re-solve counters (src/dynamic/incremental_solver.hpp).
-  // Per update: agents whose radius-D(R) view may have changed (the dirty
-  // ball), agents whose stored output was reused untouched, and the dirty
-  // view classes whose cached evaluation the edit invalidated (each one is
-  // re-evaluated or served by the cross-solve cache; see class_cache_hits).
+  // Per update: agents whose radius-D(R) neighbourhood may have changed
+  // (the dirty ball), and agents whose stored output was reused untouched.
   std::atomic<std::int64_t> agents_dirty{0};
   std::atomic<std::int64_t> agents_reused{0};
-  std::atomic<std::int64_t> classes_invalidated{0};
 
-  // Fat-view fast path (core/dp_snapshot.hpp + the SoA sweeps of
-  // view_solver.cpp).  Per evaluation with a TValueStore attached:
-  // t-needed origins served from the store without re-bisecting, and the
-  // bisections that DID run because the origin sat in the edit's dirty
-  // cone (or was never computed).  vector_sweeps counts the multi-omega
-  // SoA table fills (chunks batching >= 2 distinct probe omegas into one
+  // Engine L's SoA sweeps (view_solver.cpp): multi-omega table fills
+  // (chunks batching >= 2 distinct probe omegas into one
   // reverse-topological sweep); omega_sweeps keeps its per-distinct-omega
   // semantics, so vector_sweeps < omega_sweeps measures the batching.
-  std::atomic<std::int64_t> warm_entries_reused{0};
-  std::atomic<std::int64_t> cone_entries_recomputed{0};
   std::atomic<std::int64_t> vector_sweeps{0};
 
   void reset() {
@@ -116,9 +106,6 @@ struct TSearchStats {
     broadcast_us = 0;
     agents_dirty = 0;
     agents_reused = 0;
-    classes_invalidated = 0;
-    warm_entries_reused = 0;
-    cone_entries_recomputed = 0;
     vector_sweeps = 0;
   }
 };
@@ -149,27 +136,8 @@ struct TSearchOptions {
   // (canonical hash, R, options fingerprint), so repeated solves over
   // instances sharing view classes skip the evaluation entirely.
   ViewClassCache* view_cache = nullptr;
-  // Restrict view_cache traffic to the colour-keyed entries: misses insert
-  // only the WL-colour key and never touch the canonical-hash layer, which
-  // Merkle-hashes and structurally copies the representative view (O(view
-  // nodes) per class -- measurable when a large dirty ball meets fat
-  // views).  Sound whenever the colours are full-depth fingerprints of the
-  // complete depth-D unfolding (refine_view_classes with full_depth, which
-  // every cache-enabled path uses): equal colours already imply equal views
-  // at the cache's own ~2^-128 risk level, so no hit is lost.  The dynamic
-  // subsystem (src/dynamic) runs with this on; whole-instance solves keep
-  // the default (hash-verified entries) unless told otherwise.  Does not
-  // affect outputs, so it is excluded from the options fingerprint.
-  bool cache_color_keys_only = false;
   // Optional operation-count instrumentation; not owned.  Thread-safe.
   TSearchStats* stats = nullptr;
-  // Optional cooperative compute budget (support/deadline.hpp); not owned.
-  // Deadline-aware stages (evaluate_view_classes) probe it per view-class
-  // evaluation and abandon the solve with DeadlineExceeded once expired --
-  // the serving layer's degradation hook.  Does not affect outputs of
-  // completed solves, so (like stats) it is excluded from the ViewClassCache
-  // options fingerprint.
-  const Deadline* deadline = nullptr;
 };
 
 // t_u for one agent: bisection on (8)-(9) over the agent's dependency cone,

@@ -5,18 +5,9 @@
 namespace locmm {
 
 ViewClassCache::ViewClassCache(const Config& config)
-    : config_(config),
-      shards_(config.shards == 0 ? 16 : config.shards),
-      snapshot_budget_(
-          std::make_shared<SnapshotBudget>(config.snapshot_byte_budget)) {
+    : config_(config), shards_(config.shards == 0 ? 16 : config.shards) {
   LOCMM_CHECK(config_.verify_node_limit >= 0);
   LOCMM_CHECK(config_.resident_node_budget >= 0);
-  LOCMM_CHECK(config_.snapshot_byte_budget >= 0);
-}
-
-std::shared_ptr<TValueStore> ViewClassCache::new_snapshot_store(
-    std::int32_t num_origins) {
-  return std::make_shared<TValueStore>(num_origins, snapshot_budget_);
 }
 
 std::uint64_t ViewClassCache::options_fingerprint(const TSearchOptions& opt) {
@@ -60,63 +51,15 @@ bool ViewClassCache::lookup_color(std::uint64_t color_key, double* x) {
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.color_entries.find(color_key);
   if (it == shard.color_entries.end()) return false;
-  *x = it->second.x;
-  it->second.last_used = epoch_.load(std::memory_order_relaxed);
+  *x = it->second;
   hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void ViewClassCache::insert_color(std::uint64_t color_key, double x) {
   Shard& shard = shards_[shard_of(color_key)];
-  const std::uint32_t now = epoch_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.color_entries.emplace(color_key,
-                                                    ColorEntry{x, now});
-  if (!inserted) it->second.last_used = now;
-}
-
-void ViewClassCache::begin_epoch() {
-  const std::uint32_t now =
-      epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.max_entry_age == 0 || now <= config_.max_entry_age) return;
-  // Sweep only every max_entry_age-th epoch: the scan is O(total entries),
-  // and running it per epoch would make every O(dirty-ball) update pay
-  // O(cache).  Amortized, each epoch costs O(entries / age), and an unhit
-  // entry lives between age and 2*age epochs -- same bound up to a factor
-  // of two, which is what an eviction heuristic is allowed to blur.
-  if (now % config_.max_entry_age != 0) return;
-  const std::uint32_t cutoff = now - config_.max_entry_age;
-  std::int64_t dropped = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.color_entries.begin();
-         it != shard.color_entries.end();) {
-      if (it->second.last_used < cutoff) {
-        it = shard.color_entries.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      std::vector<Entry>& bucket = it->second;
-      for (std::size_t i = 0; i < bucket.size();) {
-        if (bucket[i].last_used < cutoff) {
-          if (bucket[i].verified) {
-            resident_nodes_.fetch_sub(bucket[i].size,
-                                      std::memory_order_relaxed);
-          }
-          bucket[i] = std::move(bucket.back());
-          bucket.pop_back();
-          ++dropped;
-        } else {
-          ++i;
-        }
-      }
-      it = bucket.empty() ? shard.entries.erase(it) : std::next(it);
-    }
-  }
-  evictions_.fetch_add(dropped, std::memory_order_relaxed);
+  shard.color_entries.emplace(color_key, x);
 }
 
 bool ViewClassCache::lookup(const ViewTree& view, std::int32_t R,
@@ -133,7 +76,6 @@ bool ViewClassCache::lookup(const ViewTree& view, std::int32_t R,
     for (Entry& e : it->second) {
       if (matches(e, view, R, fp)) {
         *x = e.x;
-        e.last_used = epoch_.load(std::memory_order_relaxed);
         hits_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -155,7 +97,6 @@ void ViewClassCache::insert(const ViewTree& view, std::int32_t R,
   e.R = R;
   e.fp = fp;
   e.x = x;
-  e.last_used = epoch_.load(std::memory_order_relaxed);
   // Reserve budget first, roll back on overshoot: concurrent inserts can
   // never settle above resident_node_budget.
   bool keep_copy = false;
@@ -214,7 +155,6 @@ void ViewClassCache::clear() {
   }
   hits_ = 0;
   misses_ = 0;
-  evictions_ = 0;
   resident_nodes_ = 0;
 }
 

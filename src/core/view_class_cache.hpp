@@ -35,12 +35,7 @@
 // entries -- the solve still succeeds and the cache keeps answering, it
 // just stops holding representative copies.  Entry records themselves
 // (~100 bytes each, plus one colour-keyed double per class) are NOT
-// bounded by the budget; for long-lived caches, epoch-based eviction
-// (Config::max_entry_age + begin_epoch()) bounds them instead: a long edit
-// stream mints a handful of new colour keys per edit, and entries not hit
-// for max_entry_age epochs are swept -- eviction only ever costs a
-// re-evaluation, never correctness.  clear() remains the workload-boundary
-// hammer.
+// bounded by the budget; clear() is the workload-boundary hammer.
 #pragma once
 
 #include <atomic>
@@ -50,7 +45,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/dp_snapshot.hpp"
 #include "core/upper_bound.hpp"
 #include "graph/view_tree.hpp"
 
@@ -64,20 +58,6 @@ class ViewClassCache {
     std::int32_t verify_node_limit = 1 << 20;
     // Total view nodes retained across all shards for exact verification.
     std::int64_t resident_node_budget = 32ll << 20;
-    // Total bytes of DP t-table snapshots (core/dp_snapshot.hpp) minted
-    // through new_snapshot_store, across all stores alive at once.  A hard
-    // cap enforced at mint time: a store that would overshoot is created
-    // disabled (its owner's solves simply run cold) rather than partially
-    // resident.  16 bytes/agent, so the default covers ~4M agents.
-    std::int64_t snapshot_byte_budget = 64ll << 20;
-    // Epoch-based eviction of entry records (colour-keyed AND hash-keyed):
-    // 0 = keep everything (the default); N > 0 makes begin_epoch() sweep
-    // entries whose last hit or insert is more than N epochs old.  The
-    // sweep itself runs every N-th epoch (amortized O(entries/N) per
-    // epoch), so an unhit entry survives between N and 2N epochs.
-    // IncrementalSolver::apply advances the epoch of its cache once per
-    // update, so N is "survive roughly N edits without a hit".
-    std::uint32_t max_entry_age = 0;
   };
 
   ViewClassCache() : ViewClassCache(Config{}) {}
@@ -126,35 +106,11 @@ class ViewClassCache {
   void insert(const ViewTree& view, std::int32_t R, std::uint64_t fp,
               double x);
 
-  // Advances the eviction epoch and, on every Config::max_entry_age-th
-  // epoch, sweeps the entry records (colour-keyed and hash-keyed) whose
-  // last hit or insert is older than max_entry_age epochs, releasing the
-  // resident-node budget of evicted representative copies.  Call once per
-  // workload unit (IncrementalSolver::apply does, per update).
-  // Thread-safe; concurrent lookups simply miss the swept entries and
-  // re-evaluate.
-  void begin_epoch();
-  std::uint32_t epoch() const { return epoch_.load(); }
-
-  // Mints a per-solver DP t-table snapshot (dense over [0, num_origins)
-  // agent origins), byte-accounted against Config::snapshot_byte_budget the
-  // way representative view copies are accounted against
-  // resident_node_budget.  The returned store holds the budget ledger by
-  // shared_ptr, so it stays safe even if it outlives this cache.  See
-  // core/dp_snapshot.hpp for the serving/invalidation contract.
-  std::shared_ptr<TValueStore> new_snapshot_store(std::int32_t num_origins);
-  // Bytes currently reserved by live snapshot stores / stores refused for
-  // lack of budget.
-  std::int64_t snapshot_bytes() const { return snapshot_budget_->bytes.load(); }
-  std::int64_t snapshot_drops() const { return snapshot_budget_->drops.load(); }
-
   std::int64_t entries() const;
   // Colour-keyed entry records (counted separately from hash-keyed ones).
   std::int64_t color_entries() const;
   std::int64_t hits() const { return hits_.load(); }
   std::int64_t misses() const { return misses_.load(); }
-  // Entry records dropped by epoch eviction since construction / clear().
-  std::int64_t evictions() const { return evictions_.load(); }
   // View nodes currently retained for exact verification.
   std::int64_t resident_nodes() const { return resident_nodes_.load(); }
 
@@ -168,13 +124,8 @@ class ViewClassCache {
     std::int32_t R = 0;
     std::uint64_t fp = 0;
     bool verified = false;  // true when `view` holds the representative copy
-    std::uint32_t last_used = 0;  // epoch of the last hit or the insert
     ViewTree view;
     double x = 0.0;
-  };
-  struct ColorEntry {
-    double x = 0.0;
-    std::uint32_t last_used = 0;
   };
   struct Shard {
     mutable std::mutex mu;
@@ -185,7 +136,7 @@ class ViewClassCache {
     std::unordered_map<std::uint64_t, std::vector<Entry>> entries;
     // Colour-keyed outputs (see color_key): no arbitration beyond the
     // 128-bit colour folded into the key.
-    std::unordered_map<std::uint64_t, ColorEntry> color_entries;
+    std::unordered_map<std::uint64_t, double> color_entries;
   };
 
   std::size_t shard_of(std::uint64_t key) const {
@@ -201,11 +152,8 @@ class ViewClassCache {
 
   Config config_;
   std::vector<Shard> shards_;
-  std::shared_ptr<SnapshotBudget> snapshot_budget_;
-  std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};
-  std::atomic<std::int64_t> evictions_{0};
   std::atomic<std::int64_t> resident_nodes_{0};
 };
 

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
-#include "core/dp_snapshot.hpp"
 #include "core/view_class_cache.hpp"
 #include "graph/color_refine.hpp"
 #include "support/thread_pool.hpp"
@@ -406,20 +404,7 @@ struct DpScratch {
   };
   std::vector<TSearch> searches;
 
-  // Allocation-churn accounting (ViewEvalScratch::reallocations): one event
-  // per reset that observes the monitored buffers (the largest table and
-  // the origin map) above their previously seen capacity -- i.e. the
-  // PREVIOUS evaluation had to allocate.  Steady-state reuse counts zero.
-  std::int64_t reallocs = 0;
-  std::size_t fcap_seen = 0;
-  std::size_t ocap_seen = 0;
-
   void reset(std::int32_t r) {
-    if (f_plus.capacity() > fcap_seen || origin2slot.capacity() > ocap_seen) {
-      ++reallocs;
-      fcap_seen = f_plus.capacity();
-      ocap_seen = origin2slot.capacity();
-    }
     ++epoch;
     if (epoch == 0) {  // wrapped: stale stamps could collide, wipe them
       slot_epoch.assign(slot_epoch.size(), 0);
@@ -486,13 +471,13 @@ class DpViewEvaluator {
  public:
   DpViewEvaluator(const ViewTree& view, std::int32_t r,
                   const TSearchOptions& opt, detail::DpScratch& sc,
-                  LocalStats* stats, DpWarmStart* warm = nullptr)
-      : view_(&view), r_(r), opt_(opt), sc_(sc), stats_(stats), warm_(warm) {
+                  LocalStats* stats)
+      : view_(&view), r_(r), opt_(opt), sc_(sc), stats_(stats) {
     sc_.reset(r);
   }
 
-  // Graph-backed construction (the fat-view fast path): the same DP driven
-  // straight off the comm graph, no materialised view.  Sound and BITWISE
+  // Graph-backed construction: the same DP driven straight off the comm
+  // graph, no materialised view.  Sound and BITWISE
   // identical to the view-backed run because the DP is origin-keyed
   // throughout (slot_of collapses every view copy to its origin already)
   // and a view's adjacency slices are exactly the graph rows in port order
@@ -501,9 +486,9 @@ class DpViewEvaluator {
   // holds orders of magnitude more copies than the graph ball has origins.
   DpViewEvaluator(const CommGraph& g, NodeId root, std::int32_t r,
                   const TSearchOptions& opt, detail::DpScratch& sc,
-                  LocalStats* stats, DpWarmStart* warm = nullptr)
+                  LocalStats* stats)
       : view_(nullptr), g_(&g), groot_(root), r_(r), opt_(opt), sc_(sc),
-        stats_(stats), warm_(warm) {
+        stats_(stats) {
     sc_.reset(r);
   }
 
@@ -882,30 +867,10 @@ class DpViewEvaluator {
   // probe sequence are exactly the naive engine's, so results agree
   // bit-for-bit.  hi = sum of inv_cap over the objective row, own term
   // first (matching SpecialFormInstance::t_search_upper).
-  //
-  // Warm start (fat-view fast path): with a TValueStore attached, t-needed
-  // origins whose value is ready in the store are served outright -- no
-  // search, no sweeps -- and every bisection actually run publishes its
-  // result back.  t is position-independent (Example 2), so a stored value
-  // is bitwise what this bisection would recompute, PROVIDED the caller
-  // invalidated every origin within comm-graph distance 4r+3 of an edit
-  // (the farthest coefficient the t recursion reads).  IncrementalSolver
-  // maintains exactly that cone.
   void run_t_searches() {
-    TValueStore* const store = warm_ != nullptr ? warm_->store : nullptr;
     sc_.searches.clear();
     sc_.searches.reserve(sc_.t_list.size());
     for (const std::int32_t slot : sc_.t_list) {
-      if (store != nullptr) {
-        double tv;
-        if (store->lookup(sc_.slot_origin[static_cast<std::size_t>(slot)],
-                          &tv)) {
-          sc_.t_val[static_cast<std::size_t>(slot)] = tv;
-          ++warm_->reused;
-          continue;
-        }
-        ++warm_->recomputed;
-      }
       detail::DpScratch::TSearch ts;
       ts.slot = slot;
       use_cap(slot);
@@ -973,12 +938,8 @@ class DpViewEvaluator {
         }
       }
     }
-    for (const auto& ts : sc_.searches) {
+    for (const auto& ts : sc_.searches)
       sc_.t_val[static_cast<std::size_t>(ts.slot)] = ts.result;
-      if (store != nullptr)
-        store->publish(sc_.slot_origin[static_cast<std::size_t>(ts.slot)],
-                       ts.result);
-    }
   }
 
   // One bisection step; returns true when the search just finished.  The
@@ -1276,13 +1237,12 @@ class DpViewEvaluator {
   }
 
   const ViewTree* view_ = nullptr;  // view-backed mode
-  const CommGraph* g_ = nullptr;    // graph-backed mode (fat-view fast path)
+  const CommGraph* g_ = nullptr;    // graph-backed mode
   NodeId groot_ = -1;               // root agent node in graph-backed mode
   std::int32_t r_;
   const TSearchOptions& opt_;
   detail::DpScratch& sc_;
   LocalStats* stats_;
-  DpWarmStart* warm_;
 };
 
 }  // namespace
@@ -1293,52 +1253,9 @@ ViewEvalScratch::ViewEvalScratch(ViewEvalScratch&&) noexcept = default;
 ViewEvalScratch& ViewEvalScratch::operator=(ViewEvalScratch&&) noexcept =
     default;
 
-std::int64_t ViewEvalScratch::reallocations() const { return impl_->reallocs; }
-
-// One arena = everything a class evaluation touches for buffers: the view
-// build target and the DP tables.
-struct EvalScratchPoolArena {
-  ViewTree view;
-  ViewEvalScratch scratch;
-};
-
-EvalScratchPool::EvalScratchPool() = default;
-EvalScratchPool::~EvalScratchPool() = default;
-
-EvalScratchPool::Lease::Lease(EvalScratchPool& pool) : pool_(pool) {
-  std::lock_guard<std::mutex> lk(pool_.mu_);
-  if (!pool_.free_.empty()) {
-    arena_ = pool_.free_.back();
-    pool_.free_.pop_back();
-  } else {
-    pool_.arenas_.push_back(std::make_unique<EvalScratchPoolArena>());
-    arena_ = pool_.arenas_.back().get();
-  }
-}
-
-EvalScratchPool::Lease::~Lease() {
-  std::lock_guard<std::mutex> lk(pool_.mu_);
-  pool_.free_.push_back(arena_);
-}
-
-ViewTree& EvalScratchPool::Lease::view() { return arena_->view; }
-ViewEvalScratch& EvalScratchPool::Lease::scratch() { return arena_->scratch; }
-
-std::int64_t EvalScratchPool::arenas() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<std::int64_t>(arenas_.size());
-}
-
-std::int64_t EvalScratchPool::table_reallocations() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::int64_t total = 0;
-  for (const auto& a : arenas_) total += a->scratch.reallocations();
-  return total;
-}
-
 double solve_agent_from_view(const ViewTree& view, std::int32_t R,
                              const TSearchOptions& opt,
-                             ViewEvalScratch* scratch, DpWarmStart* warm) {
+                             ViewEvalScratch* scratch) {
   LOCMM_CHECK(R >= 2);
   LocalStats stats;
   double x;
@@ -1349,25 +1266,18 @@ double solve_agent_from_view(const ViewTree& view, std::int32_t R,
     ViewEvalScratch local_scratch;
     DpViewEvaluator eval(view, R - 2, opt,
                          (scratch ? *scratch : local_scratch).impl(),
-                         opt.stats ? &stats : nullptr, warm);
+                         opt.stats ? &stats : nullptr);
     x = eval.x_root();
   }
   stats.flush(opt.stats, view.size());
-  if (opt.stats != nullptr) {
+  if (opt.stats != nullptr)
     opt.stats->view_evals.fetch_add(1, std::memory_order_relaxed);
-    if (warm != nullptr) {
-      opt.stats->warm_entries_reused.fetch_add(warm->reused,
-                                               std::memory_order_relaxed);
-      opt.stats->cone_entries_recomputed.fetch_add(warm->recomputed,
-                                                   std::memory_order_relaxed);
-    }
-  }
   return x;
 }
 
 double solve_agent_on_graph(const CommGraph& g, AgentId v, std::int32_t R,
                             const TSearchOptions& opt,
-                            ViewEvalScratch* scratch, DpWarmStart* warm) {
+                            ViewEvalScratch* scratch) {
   LOCMM_CHECK(R >= 2);
   // The view-free construction exists for the memoized DP only; the naive
   // engine is view-based by definition (it is the differential oracle for
@@ -1377,18 +1287,11 @@ double solve_agent_on_graph(const CommGraph& g, AgentId v, std::int32_t R,
   ViewEvalScratch local_scratch;
   DpViewEvaluator eval(g, g.agent_node(v), R - 2, opt,
                        (scratch ? *scratch : local_scratch).impl(),
-                       opt.stats ? &stats : nullptr, warm);
+                       opt.stats ? &stats : nullptr);
   const double x = eval.x_root();
   stats.flush(opt.stats, 0);  // no view materialised
-  if (opt.stats != nullptr) {
+  if (opt.stats != nullptr)
     opt.stats->view_evals.fetch_add(1, std::memory_order_relaxed);
-    if (warm != nullptr) {
-      opt.stats->warm_entries_reused.fetch_add(warm->reused,
-                                               std::memory_order_relaxed);
-      opt.stats->cone_entries_recomputed.fetch_add(warm->recomputed,
-                                                   std::memory_order_relaxed);
-    }
-  }
   return x;
 }
 
@@ -1410,6 +1313,85 @@ double t_root_from_view(const ViewTree& view, std::int32_t r,
   stats.flush(opt.stats, view.size());
   return t;
 }
+
+namespace {
+
+// The evaluate stage of solve_special_local_views: one output per class,
+// each representative evaluated through the optional cross-solve cache
+// (colour-keyed fast path first, canonical-hash entries after the build,
+// then a real evaluation).  Updates opt.stats's class_eval_us and
+// class_cache_hits; `evals` counts the evaluations actually run (<=
+// num_classes; the rest came from the cache).  The result is bitwise
+// independent of `threads`.
+struct ClassEvalResult {
+  std::vector<double> x_class;
+  std::int64_t evals = 0;
+  std::int64_t cache_hits = 0;
+};
+
+ClassEvalResult evaluate_view_classes(const CommGraph& g,
+                                      const ViewClasses& classes,
+                                      std::int32_t R, const TSearchOptions& opt,
+                                      std::size_t threads) {
+  const std::int32_t D = view_radius(R);
+  const auto num_classes = static_cast<std::size_t>(classes.num_classes());
+  ClassEvalResult res;
+  res.x_class.assign(num_classes, 0.0);
+  if (num_classes == 0) return res;
+
+  // Each class writes its own slot, so the schedule cannot affect the
+  // output.  Cache order: colour-keyed first (no view needed at all -- the
+  // warm fast path), then the canonical-hash entries after the build, then
+  // a real evaluation.
+  Timer eval_timer;
+  ViewClassCache* const cache = opt.view_cache;
+  const std::uint64_t fp =
+      cache != nullptr ? ViewClassCache::options_fingerprint(opt) : 0;
+  std::vector<double>& xc = res.x_class;
+  std::atomic<std::int64_t> cache_hits{0};
+  std::atomic<std::int64_t> evals{0};
+  parallel_for(num_classes, threads, [&](std::size_t ci) {
+    std::uint64_t ckey = 0;
+    if (cache != nullptr) {
+      ckey = ViewClassCache::color_key(classes.color_a[ci],
+                                       classes.color_b[ci], classes.rounds,
+                                       R, fp);
+      if (cache->lookup_color(ckey, &xc[ci])) {
+        cache_hits.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+    }
+    // Per-thread arenas: the view buffer and the DP tables persist across
+    // classes (and across calls).
+    thread_local ViewTree view;
+    thread_local ViewEvalScratch scratch;
+    ViewTree::build_into(
+        g, g.agent_node(classes.representative[ci]), D, view);
+    if (cache != nullptr && cache->lookup(view, R, fp, &xc[ci])) {
+      cache_hits.fetch_add(1, std::memory_order_relaxed);
+      cache->insert_color(ckey, xc[ci]);
+      return;
+    }
+    xc[ci] = solve_agent_from_view(view, R, opt, &scratch);
+    evals.fetch_add(1, std::memory_order_relaxed);
+    if (cache != nullptr) {
+      cache->insert(view, R, fp, xc[ci]);
+      cache->insert_color(ckey, xc[ci]);
+    }
+  });
+  res.evals = evals.load();
+  res.cache_hits = cache_hits.load();
+  if (opt.stats != nullptr) {
+    opt.stats->class_eval_us.fetch_add(
+        static_cast<std::int64_t>(eval_timer.micros()),
+        std::memory_order_relaxed);
+    opt.stats->class_cache_hits.fetch_add(res.cache_hits,
+                                          std::memory_order_relaxed);
+  }
+  return res;
+}
+
+}  // namespace
 
 std::vector<double> solve_special_local_views(const MaxMinInstance& special,
                                               std::int32_t R,
@@ -1471,121 +1453,6 @@ std::vector<double> solve_special_local_views(const MaxMinInstance& special,
         std::memory_order_relaxed);
   }
   return x;
-}
-
-ClassEvalResult evaluate_view_classes(const CommGraph& g,
-                                      const ViewClasses& classes,
-                                      std::int32_t R, const TSearchOptions& opt,
-                                      std::size_t threads,
-                                      TValueStore* warm_store,
-                                      EvalScratchPool* pool) {
-  const std::int32_t D = view_radius(R);
-  const auto num_classes = static_cast<std::size_t>(classes.num_classes());
-  // The warm-start contract (position-independent t, bitwise-reproducible
-  // bisections) holds for the memoized DP only; other engines ignore the
-  // store rather than corrupt it.
-  TValueStore* const wstore =
-      (warm_store != nullptr && opt.engine == ViewEngine::kMemoizedDp &&
-       warm_store->enabled())
-          ? warm_store
-          : nullptr;
-  ClassEvalResult res;
-  res.x_class.assign(num_classes, 0.0);
-  if (num_classes == 0) return res;
-
-  // Each class writes its own slot, so the schedule cannot affect the
-  // output.  Cache order: colour-keyed first (no view needed at all -- the
-  // warm fast path), then the canonical-hash entries after the build, then
-  // a real evaluation.
-  Timer eval_timer;
-  ViewClassCache* const cache = opt.view_cache;
-  const std::uint64_t fp =
-      cache != nullptr ? ViewClassCache::options_fingerprint(opt) : 0;
-  std::vector<double>& xc = res.x_class;
-  std::atomic<std::int64_t> cache_hits{0};
-  std::atomic<std::int64_t> evals{0};
-  std::atomic<std::int64_t> warm_reused{0};
-  std::atomic<std::int64_t> cone_recomputed{0};
-  std::atomic<bool> past_deadline{false};
-  parallel_for(num_classes, threads, [&](std::size_t ci) {
-    // Cooperative budget probe, once per class: workers never throw across
-    // the pool boundary -- they set the shared flag and drain, and the
-    // single DeadlineExceeded is raised after the join below.
-    if (opt.deadline != nullptr &&
-        (past_deadline.load(std::memory_order_relaxed) ||
-         opt.deadline->tick())) {
-      past_deadline.store(true, std::memory_order_relaxed);
-      return;
-    }
-    std::uint64_t ckey = 0;
-    if (cache != nullptr) {
-      ckey = ViewClassCache::color_key(classes.color_a[ci],
-                                       classes.color_b[ci], classes.rounds,
-                                       R, fp);
-      if (cache->lookup_color(ckey, &xc[ci])) {
-        cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-    // Buffer arenas: leased from the caller's pool when one is supplied
-    // (reuse spans the caller's lifetime), thread_local otherwise.
-    std::optional<EvalScratchPool::Lease> lease;
-    if (pool != nullptr) lease.emplace(*pool);
-    thread_local ViewTree tl_view;
-    thread_local ViewEvalScratch tl_scratch;
-    ViewTree& view = lease ? lease->view() : tl_view;
-    ViewEvalScratch& scratch = lease ? lease->scratch() : tl_scratch;
-    if (wstore != nullptr) {
-      // Fat-view fast path: evaluate the representative straight off the
-      // comm graph -- bitwise the view-backed output (the DP is
-      // origin-keyed; see DpViewEvaluator's graph-backed constructor) with
-      // no O(view) unfold, while the attached store serves every t outside
-      // the invalidated cone.  No view means colour-keyed caching only;
-      // the hash-keyed entry is skipped, which only ever costs a
-      // re-evaluation on a colour-stream collision.
-      DpWarmStart warm{wstore};
-      xc[ci] = solve_agent_on_graph(g, classes.representative[ci], R, opt,
-                                    &scratch, &warm);
-      evals.fetch_add(1, std::memory_order_relaxed);
-      warm_reused.fetch_add(warm.reused, std::memory_order_relaxed);
-      cone_recomputed.fetch_add(warm.recomputed, std::memory_order_relaxed);
-      if (cache != nullptr) cache->insert_color(ckey, xc[ci]);
-      return;
-    }
-    ViewTree::build_into(
-        g, g.agent_node(classes.representative[ci]), D, view);
-    if (cache != nullptr && !opt.cache_color_keys_only &&
-        cache->lookup(view, R, fp, &xc[ci])) {
-      cache_hits.fetch_add(1, std::memory_order_relaxed);
-      cache->insert_color(ckey, xc[ci]);
-      return;
-    }
-    xc[ci] = solve_agent_from_view(view, R, opt, &scratch);
-    evals.fetch_add(1, std::memory_order_relaxed);
-    if (cache != nullptr) {
-      if (!opt.cache_color_keys_only) cache->insert(view, R, fp, xc[ci]);
-      cache->insert_color(ckey, xc[ci]);
-    }
-  });
-  if (past_deadline.load()) {
-    // Skipped classes hold meaningless zeros; the caller must abandon the
-    // whole result (IncrementalSolver::apply rolls back transactionally).
-    // Cache insertions from classes that DID complete stay valid: every
-    // entry is a self-contained (key, value) fact independent of this call.
-    throw DeadlineExceeded("deadline exceeded during view-class evaluation");
-  }
-  res.evals = evals.load();
-  res.cache_hits = cache_hits.load();
-  res.warm_t_reused = warm_reused.load();
-  res.cone_t_recomputed = cone_recomputed.load();
-  if (opt.stats != nullptr) {
-    opt.stats->class_eval_us.fetch_add(
-        static_cast<std::int64_t>(eval_timer.micros()),
-        std::memory_order_relaxed);
-    opt.stats->class_cache_hits.fetch_add(res.cache_hits,
-                                          std::memory_order_relaxed);
-  }
-  return res;
 }
 
 }  // namespace locmm

@@ -24,8 +24,8 @@
 //     paper's recursions, kept as the differential-testing oracle.  It
 //     re-expands the recursion on every call and runs a fresh bisection per
 //     agent, so it is exponentially slower across the omega probes of an
-//     s-ball; tests assert the DP engine matches it (and engine C,
-//     local_solver.hpp) to high precision.
+//     s-ball; tests assert the DP engine matches it, and engine C
+//     (local_solver.hpp), bitwise.
 //
 // Both implementations never consult the global graph during evaluation,
 // which makes engine L the faithfulness reference for the other engines.
@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/upper_bound.hpp"
@@ -49,8 +48,6 @@
 #include "graph/view_tree.hpp"
 
 namespace locmm {
-
-class TValueStore;  // core/dp_snapshot.hpp
 
 namespace detail {
 struct DpScratch;  // internal tables of the memoized DP engine
@@ -69,72 +66,8 @@ class ViewEvalScratch {
 
   detail::DpScratch& impl() { return *impl_; }
 
-  // Table (re)allocation events observed across evaluations: incremented at
-  // each reset whose monitored buffers grew capacity since the previous
-  // reset.  A scratch reused across a steady-state edit stream stops
-  // counting after warm-up -- the allocation-churn proof the reuse tests
-  // assert.
-  std::int64_t reallocations() const;
-
  private:
   std::unique_ptr<detail::DpScratch> impl_;
-};
-
-// A pool of (ViewTree, ViewEvalScratch) arenas shared across evaluation
-// calls.  evaluate_view_classes leases one arena per in-flight class
-// evaluation, so a long-lived caller (IncrementalSolver) reuses the same
-// build buffers and DP tables across successive apply() calls instead of
-// relying on thread_local lifetime -- and can PROVE it via
-// table_reallocations().  Thread-safe; the pool grows to the peak
-// concurrency ever seen and never shrinks.
-class EvalScratchPool {
- public:
-  EvalScratchPool();
-  ~EvalScratchPool();
-  EvalScratchPool(const EvalScratchPool&) = delete;
-  EvalScratchPool& operator=(const EvalScratchPool&) = delete;
-
-  class Lease {
-   public:
-    explicit Lease(EvalScratchPool& pool);
-    ~Lease();
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ViewTree& view();
-    ViewEvalScratch& scratch();
-
-   private:
-    EvalScratchPool& pool_;
-    struct EvalScratchPoolArena* arena_;
-  };
-
-  // Arenas ever created (== peak concurrent leases).
-  std::int64_t arenas() const;
-  // Sum of ViewEvalScratch::reallocations() over all arenas.  Call only
-  // while no lease is outstanding (between apply() calls).
-  std::int64_t table_reallocations() const;
-
- private:
-  friend class Lease;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<struct EvalScratchPoolArena>> arenas_;
-  std::vector<struct EvalScratchPoolArena*> free_;
-};
-
-// Delta-aware warm start for the memoized DP engine (ignored by kNaive).
-// `store` supplies previously computed t values by agent origin
-// (core/dp_snapshot.hpp): every t-needed origin with a ready entry is
-// served without re-running its bisection, and every bisection actually
-// run publishes its result back.  The caller must have invalidated all
-// origins whose dependency cone an edit touched; served values are then
-// bitwise the values the bisection would reproduce, so outputs equal a
-// cold evaluation exactly.  reused / recomputed report this call's serving
-// split (also accumulated into TSearchStats::warm_entries_reused /
-// cone_entries_recomputed).
-struct DpWarmStart {
-  TValueStore* store = nullptr;
-  std::int64_t reused = 0;      // out: t values served from the store
-  std::int64_t recomputed = 0;  // out: bisections run with the store active
 };
 
 // The local horizon of the §5 algorithm as implemented here.
@@ -145,8 +78,7 @@ std::int32_t view_radius(std::int32_t R);
 // is optional; passing one amortises allocations across calls.
 double solve_agent_from_view(const ViewTree& view, std::int32_t R,
                              const TSearchOptions& opt = {},
-                             ViewEvalScratch* scratch = nullptr,
-                             DpWarmStart* warm = nullptr);
+                             ViewEvalScratch* scratch = nullptr);
 
 // Computes agent `v`'s output straight off the communication graph --
 // bitwise identical to solve_agent_from_view on v's radius-view_radius(R)
@@ -155,13 +87,10 @@ double solve_agent_from_view(const ViewTree& view, std::int32_t R,
 // slices are exactly the graph rows in port order, so skipping the unfold
 // changes no value anywhere; on fat views it removes the dominant cost.
 // kMemoizedDp only (CHECK-enforced): the naive engine is view-based by
-// definition.  The fat-view fast path (IncrementalSolver::Options::
-// warm_start) evaluates dirty classes through this with a DpWarmStart
-// attached.
+// definition.
 double solve_agent_on_graph(const CommGraph& g, AgentId v, std::int32_t R,
                             const TSearchOptions& opt = {},
-                            ViewEvalScratch* scratch = nullptr,
-                            DpWarmStart* warm = nullptr);
+                            ViewEvalScratch* scratch = nullptr);
 
 // Computes only the upper bound t_u for the agent at the root of `view`
 // (radius 4r+3 suffices).  Used by the streaming engine (dist/streaming),
@@ -196,35 +125,5 @@ std::vector<double> solve_special_local_views(const MaxMinInstance& special,
                                               std::int32_t R,
                                               const TSearchOptions& opt = {},
                                               std::size_t threads = 1);
-
-// The evaluate stage of the pipeline above, exposed for the incremental
-// subsystem (src/dynamic), which feeds it dirty-ball classes instead of a
-// whole-instance partition: one output per class, each representative
-// evaluated through the optional cross-solve cache (colour-keyed fast path
-// first, canonical-hash entries after the build, then a real evaluation).
-// Reads classes.representative / color_a / color_b / rounds only --
-// class_of and class_size may be left empty.  Updates opt.stats's
-// class_eval_us and class_cache_hits; `evals` counts the evaluations
-// actually run (<= num_classes; the rest came from the cache).  The result
-// is bitwise independent of `threads`.
-// `warm_store` (optional, kMemoizedDp only) wires every representative
-// evaluation to a TValueStore (see DpWarmStart above); warm_t_reused /
-// cone_t_recomputed total the serving split over this call.  `pool`
-// (optional) replaces the thread_local build/table arenas with leases from
-// a caller-owned EvalScratchPool, so buffer reuse spans the caller's
-// lifetime, not the thread pool's.  Neither affects outputs.
-struct ClassEvalResult {
-  std::vector<double> x_class;
-  std::int64_t evals = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t warm_t_reused = 0;
-  std::int64_t cone_t_recomputed = 0;
-};
-ClassEvalResult evaluate_view_classes(const CommGraph& g,
-                                      const ViewClasses& classes,
-                                      std::int32_t R, const TSearchOptions& opt,
-                                      std::size_t threads,
-                                      TValueStore* warm_store = nullptr,
-                                      EvalScratchPool* pool = nullptr);
 
 }  // namespace locmm

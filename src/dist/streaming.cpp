@@ -196,7 +196,7 @@ class StreamingProgram final : public AgentNodeProgram {
                  g_minus_[static_cast<std::size_t>(d)];
         }
         // (18), same expression as output_x so the bits agree.
-        x_ = sum * (1.0 / (2.0 * static_cast<double>(r_ + 2)));
+        x_ = sum / (2.0 * static_cast<double>(r_ + 2));
       }
       done_ = true;
     }

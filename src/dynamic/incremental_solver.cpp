@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "core/local_solver.hpp"
+#include "core/view_solver.hpp"
 #include "dist/fault.hpp"
 #include "dist/gather.hpp"
 #include "dist/streaming.hpp"
-#include "support/hash.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace locmm {
@@ -26,37 +26,23 @@ IncrementalSolver::IncrementalSolver(const MaxMinInstance& special,
                       opt_.engine != DynamicEngine::kMemoizedDp,
                   "cold_faults needs a distributed engine (M / S)");
   D_ = view_radius(opt_.R);
-  if (opt_.cache != nullptr) {
-    cache_ = opt_.cache;
-  } else {
-    owned_cache_ = std::make_unique<ViewClassCache>();
-    cache_ = owned_cache_.get();
-  }
-  eval_opt_ = opt_.t_search;
-  eval_opt_.canonicalize_views = true;
-  eval_opt_.view_cache = cache_;
-  // Full-depth colours are always in hand here, so the canonical-hash cache
-  // layer (which hashes and copies every representative view) buys nothing:
-  // colour-keyed entries carry the whole cross-update reuse.
-  eval_opt_.cache_color_keys_only = true;
 
   node_stamp_.assign(static_cast<std::size_t>(g_.num_nodes()), 0);
   agent_stamp_.assign(static_cast<std::size_t>(g_.num_agents()), 0);
 
   const auto n = static_cast<std::size_t>(g_.num_agents());
   x_.assign(n, 0.0);
-  color_a_.assign(n, 0);
-  color_b_.assign(n, 0);
 
-  // The distributed engines build their network even for an empty instance
-  // (the cold run is a no-op): apply_distributed can then rely on net_
-  // unconditionally, and an edit addressed against the empty instance dies
-  // in sf_.apply's batch validation rather than on a null network.
-  if (opt_.engine != DynamicEngine::kMemoizedDp) {
+  if (opt_.engine == DynamicEngine::kMemoizedDp) {
+    cold_solve_tables();
+  } else {
     // Distributed cold solve: one recorded SyncNetwork run of the selected
     // engine.  The history it leaves behind is the whole update state --
-    // replays splice the clean cone from it -- so no colours and no class
-    // cache are maintained on this path.
+    // replays splice the clean cone from it.  The network is built even for
+    // an empty instance (the cold run is a no-op): apply_distributed can
+    // then rely on net_ unconditionally, and an edit addressed against the
+    // empty instance dies in sf_.apply's batch validation rather than on a
+    // null network.
     net_ = std::make_unique<SyncNetwork>(g_, opt_.threads);
     if (opt_.cold_faults != nullptr && opt_.cold_faults->any_faults() &&
         g_.num_nodes() > 0) {
@@ -72,79 +58,50 @@ IncrementalSolver::IncrementalSolver(const MaxMinInstance& special,
           [this](NodeId u) { return make_program(u); }, rounds, opt_.R,
           opt_.t_search);
       cold_net_ = ft.stats;
-      if (!ft.fully_recovered) {
+      if (ft.fully_recovered) {
+        x_ = std::move(ft.x);
+      } else {
         // Graceful degradation: the repaired history is NOT trustworthy as
         // replay state (degraded agents carry fallback values), so drop the
-        // network and restart cold on the engine-L dirty-ball path, which
-        // every later apply() then uses.  Slower per update, but exact.
+        // network and restart cold into the engine-C tables, which every
+        // later apply() then uses.  Exact, and O(ball) per update.
         net_.reset();
         opt_.engine = DynamicEngine::kMemoizedDp;
         degraded_to_local_ = true;
-        cold_solve_memoized();
-        return;
+        cold_solve_tables();
       }
-      x_ = std::move(ft.x);
-      return;
+    } else {
+      std::vector<std::unique_ptr<NodeProgram>> programs;
+      programs.reserve(static_cast<std::size_t>(g_.num_nodes()));
+      for (NodeId u = 0; u < g_.num_nodes(); ++u)
+        programs.push_back(make_program(u));
+      cold_net_ = net_->run(programs, 1 << 20, /*record=*/true);
+      for (AgentId v = 0; v < g_.num_agents(); ++v) {
+        const auto* prog = static_cast<const AgentNodeProgram*>(
+            programs[static_cast<std::size_t>(g_.agent_node(v))].get());
+        x_[static_cast<std::size_t>(v)] = prog->x();
+      }
     }
-    std::vector<std::unique_ptr<NodeProgram>> programs;
-    programs.reserve(static_cast<std::size_t>(g_.num_nodes()));
-    for (NodeId u = 0; u < g_.num_nodes(); ++u)
-      programs.push_back(make_program(u));
-    cold_net_ = net_->run(programs, 1 << 20, /*record=*/true);
-    for (AgentId v = 0; v < g_.num_agents(); ++v) {
-      const auto* prog = static_cast<const AgentNodeProgram*>(
-          programs[static_cast<std::size_t>(g_.agent_node(v))].get());
-      x_[static_cast<std::size_t>(v)] = prog->x();
-    }
-    return;
   }
-  if (n == 0) return;
-  cold_solve_memoized();
+
+  // Row sums in utility()'s own fold, so the tree's minimum is bitwise
+  // utility(x_).
+  objective_sums_ = MinTree(sf_.instance().objective_values(x_));
 }
 
-void IncrementalSolver::cold_solve_memoized() {
+void IncrementalSolver::cold_solve_tables() {
+  SpecialRunResult run = solve_special_centralized(sf_, opt_.R, opt_.t_search,
+                                                   opt_.threads);
+  t_ = MinTree(std::move(run.t));
+  s_ = std::move(run.s);
+  g_plus_ = std::move(run.g.plus);
+  g_minus_ = std::move(run.g.minus);
+  x_ = std::move(run.x);
+
   const auto n = static_cast<std::size_t>(g_.num_agents());
-  if (n == 0) return;
-
-  // Fat-view fast path state: the persisted t-table (budget-accounted
-  // through the cache) and the cone flood's stamp array.  Minted here --
-  // not in the constructor -- so the degradation path (distributed cold
-  // solve falling back to engine L) gets it too.
-  if (opt_.warm_start && tstore_ == nullptr) {
-    tstore_ = cache_->new_snapshot_store(g_.num_agents());
-    t_stamp_.assign(static_cast<std::size_t>(g_.num_nodes()), 0);
-  }
-
-  // Cold solve: the refine / evaluate-representatives / broadcast pipeline
-  // of solve_special_local_views, run here so the per-agent colours and the
-  // populated cache survive as the update state.  Full-depth colours are
-  // mandatory: they are compared against colours computed on *edited*
-  // graphs later (the cross-instance soundness argument of
-  // graph/color_refine.hpp).
-
-  Timer refine_timer;
-  const ViewClasses classes =
-      refine_view_classes(g_, D_, /*full_depth=*/true);
-  if (eval_opt_.stats != nullptr) {
-    eval_opt_.stats->refine_us.fetch_add(
-        static_cast<std::int64_t>(refine_timer.micros()),
-        std::memory_order_relaxed);
-    eval_opt_.stats->view_classes.fetch_add(classes.num_classes(),
-                                            std::memory_order_relaxed);
-  }
-  const ClassEvalResult ev =
-      evaluate_view_classes(g_, classes, opt_.R, eval_opt_, opt_.threads,
-                            tstore_.get(), &pool_);
-  if (eval_opt_.stats != nullptr) {
-    eval_opt_.stats->evals_avoided.fetch_add(
-        static_cast<std::int64_t>(n) - ev.evals, std::memory_order_relaxed);
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto ci = static_cast<std::size_t>(classes.class_of[v]);
-    x_[v] = ev.x_class[ci];
-    color_a_[v] = classes.color_a[ci];
-    color_b_[v] = classes.color_b[ci];
-  }
+  t_stamp_.assign(static_cast<std::size_t>(g_.num_nodes()), 0);
+  ball_pos_.assign(n, 0);
+  s_seen_.assign(n, 0);
 }
 
 void IncrementalSolver::collect_dirty(const CommGraph& g,
@@ -172,46 +129,14 @@ void IncrementalSolver::collect_dirty(const CommGraph& g,
     bfs_cur_.push_back(s);
     take_agent(s);
   }
-  // Large frontiers expand data-parallel: each frontier node claims its
-  // unstamped neighbours with an atomic exchange on the node stamp (exactly
-  // one claimant observes the pre-epoch value), writes them into its own
-  // bucket, and the buckets concatenate serially.  The claimed SET per level
-  // equals the serial sweep's (a node adjacent to several frontier nodes is
-  // claimed exactly once, at the first level that reaches it), and `dirty`
-  // is consumed sorted by the callers, so the flood result is bitwise
-  // independent of the thread count.
-  constexpr std::size_t kParallelFrontier = 256;
-  std::vector<std::vector<NodeId>> buckets;
   for (std::int32_t dist = 0; dist < D_ && !bfs_cur_.empty(); ++dist) {
-    if (opt_.threads > 1 && bfs_cur_.size() >= kParallelFrontier) {
-      buckets.resize(bfs_cur_.size());
-      parallel_for(bfs_cur_.size(), opt_.threads, [&](std::size_t i) {
-        auto& out = buckets[i];
-        out.clear();
-        for (const HalfEdge& e : g.neighbors(bfs_cur_[i])) {
-          std::atomic_ref<std::uint32_t> stamp(
-              node_stamp_[static_cast<std::size_t>(e.to)]);
-          if (stamp.exchange(flood_epoch, std::memory_order_relaxed) !=
-              flood_epoch) {
-            out.push_back(e.to);
-          }
-        }
-      });
-      for (const auto& bucket : buckets) {
-        for (const NodeId u : bucket) {
-          bfs_next_.push_back(u);
-          take_agent(u);
-        }
-      }
-    } else {
-      for (const NodeId u : bfs_cur_) {
-        for (const HalfEdge& e : g.neighbors(u)) {
-          auto& stamp = node_stamp_[static_cast<std::size_t>(e.to)];
-          if (stamp == flood_epoch) continue;
-          stamp = flood_epoch;
-          bfs_next_.push_back(e.to);
-          take_agent(e.to);
-        }
+    for (const NodeId u : bfs_cur_) {
+      for (const HalfEdge& e : g.neighbors(u)) {
+        auto& stamp = node_stamp_[static_cast<std::size_t>(e.to)];
+        if (stamp == flood_epoch) continue;
+        stamp = flood_epoch;
+        bfs_next_.push_back(e.to);
+        take_agent(e.to);
       }
     }
     bfs_cur_.swap(bfs_next_);
@@ -261,14 +186,15 @@ const std::vector<double>& IncrementalSolver::apply(
     const InstanceDelta& delta, const Deadline* deadline) {
   LOCMM_CHECK_MSG(deadline == nullptr ||
                       opt_.engine == DynamicEngine::kMemoizedDp,
-                  "deadline-bounded apply is an engine-L feature; the "
+                  "deadline-bounded apply is an engine-C feature; the "
                   "distributed replays have no abandon points");
   last_ = {};
   last_.agents_reused = g_.num_agents();
+  rewritten_.clear();
   if (delta.empty()) return x_;
 
-  // Admission before anything mutates or even advances (cache epoch, flood
-  // stamps): a rejected delta leaves the solver bitwise untouched.
+  // Admission before anything mutates or even advances (flood stamps): a
+  // rejected delta leaves the solver bitwise untouched.
   const std::vector<std::string> violations = sf_.check_applicable(delta);
   LOCMM_CHECK_MSG(violations.empty(),
                   "delta rejected: " << violations.front()
@@ -294,9 +220,34 @@ const std::vector<double>& IncrementalSolver::apply(
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 
   if (opt_.engine == DynamicEngine::kMemoizedDp) {
-    apply_memoized(seeds, delta, deadline);
+    apply_tables(seeds, delta, deadline);
   } else {
     apply_distributed(seeds, delta);
+  }
+
+  // Objective sums: every objective of a rewritten agent, plus the
+  // objective rows the batch edits (membership moves change a row without
+  // necessarily changing the moved agent's x).
+  Timer sums_timer;
+  objectives_.clear();
+  for (const AgentId v : rewritten_) objectives_.push_back(sf_.objective(v));
+  delta.for_each_touched_edge([&](RowKind kind, std::int32_t row, AgentId) {
+    if (kind == RowKind::kObjective) objectives_.push_back(row);
+  });
+  std::sort(objectives_.begin(), objectives_.end());
+  objectives_.erase(std::unique(objectives_.begin(), objectives_.end()),
+                    objectives_.end());
+  for (const ObjectiveId k : objectives_) {
+    objective_sums_.set(static_cast<std::size_t>(k),
+                        sf_.instance().objective_value(k, x_));
+  }
+  last_.sums_rewritten = static_cast<std::int64_t>(objectives_.size());
+  last_.broadcast_us += sums_timer.micros();
+
+  if (TSearchStats* s = opt_.t_search.stats; s != nullptr) {
+    s->agents_dirty.fetch_add(last_.agents_dirty, std::memory_order_relaxed);
+    s->agents_reused.fetch_add(last_.agents_reused,
+                               std::memory_order_relaxed);
   }
   return x_;
 }
@@ -307,7 +258,7 @@ void IncrementalSolver::apply_distributed(const std::vector<NodeId>& seeds,
   // nodes that were reachable only through it arbitrarily far from every
   // seed in the post-edit graph while their cached messages still encode
   // paths through it -- the replay must activate them too (the same
-  // pre+post-graph flood the engine-L path runs for its dirty ball).
+  // pre+post-graph flood the engine-C path runs for its dirty ball).
   std::vector<std::int32_t> pre_dist;
   Timer flood_timer;
   if (delta.structural()) {
@@ -339,34 +290,43 @@ void IncrementalSolver::apply_distributed(const std::vector<NodeId>& seeds,
   last_.eval_us = eval_timer.micros();
   last_.net = rep.stats;
 
-  std::int64_t dirty_agents = 0;
   for (std::size_t i = 0; i < rep.executed.size(); ++i) {
     const NodeId u = rep.executed[i];
     if (g_.type(u) != NodeType::kAgent) continue;
-    ++dirty_agents;
+    rewritten_.push_back(static_cast<AgentId>(u));
     x_[static_cast<std::size_t>(u)] =
         static_cast<const AgentNodeProgram*>(rep.programs[i].get())->x();
   }
-  last_.agents_dirty = dirty_agents;
-  last_.agents_reused = g_.num_agents() - dirty_agents;
-
-  if (TSearchStats* s = opt_.t_search.stats; s != nullptr) {
-    s->agents_dirty.fetch_add(last_.agents_dirty, std::memory_order_relaxed);
-    s->agents_reused.fetch_add(last_.agents_reused,
-                               std::memory_order_relaxed);
-  }
+  std::sort(rewritten_.begin(), rewritten_.end());
+  last_.agents_dirty = static_cast<std::int64_t>(rewritten_.size());
+  last_.agents_reused = g_.num_agents() - last_.agents_dirty;
+  last_.evals = last_.agents_dirty;
 }
 
-void IncrementalSolver::apply_memoized(const std::vector<NodeId>& seeds,
-                                       const InstanceDelta& delta,
-                                       const Deadline* deadline) {
-  // One cache epoch per update: entries whose last hit is older than the
-  // cache's configured max_entry_age get swept (no-op on the default
-  // keep-everything configuration).
-  cache_->begin_epoch();
+double IncrementalSolver::staged_t(AgentId u) const {
+  return in_ball(u) ? t_new_[ball_index(u)]
+                    : t_.values()[static_cast<std::size_t>(u)];
+}
+
+double IncrementalSolver::staged_g_plus(std::int32_t d, AgentId u) const {
+  const auto sd = static_cast<std::size_t>(d);
+  return in_ball(u) ? g_plus_new_[sd * rewritten_.size() + ball_index(u)]
+                    : g_plus_[sd][static_cast<std::size_t>(u)];
+}
+
+double IncrementalSolver::staged_g_minus(std::int32_t d, AgentId u) const {
+  const auto sd = static_cast<std::size_t>(d);
+  return in_ball(u) ? g_minus_new_[sd * rewritten_.size() + ball_index(u)]
+                    : g_minus_[sd][static_cast<std::size_t>(u)];
+}
+
+void IncrementalSolver::apply_tables(const std::vector<NodeId>& seeds,
+                                     const InstanceDelta& delta,
+                                     const Deadline* deadline) {
+  const std::int32_t r = opt_.R - 2;
 
   // Near-wrap renumbering: the stamp arrays only ever compare against the
-  // current epoch, so zeroing both and restarting the counter is invisible
+  // current epoch, so zeroing them and restarting the counter is invisible
   // -- one O(n) fill per ~4 billion updates keeps a long-lived solver
   // running forever (each update claims at most 3 epochs).
   constexpr std::uint32_t kEpochRenumber = 0xFFFFFF00u;
@@ -383,25 +343,24 @@ void IncrementalSolver::apply_memoized(const std::vector<NodeId>& seeds,
 
   // The per-update agent-dedup epoch spans the (up to) two floods below;
   // collect_dirty claims epoch numbers pairwise, so force the counter onto
-  // an even boundary first: both floods then share one agent epoch.
+  // an even boundary first: both floods then share one agent epoch, which
+  // then marks ball membership.
   if (epoch_ % 2 != 0) ++epoch_;
+  ball_epoch_ = epoch_ + 1;
 
   // Everything up to the sf_.apply below reads the PRE-edit state, so a
   // deadline expiring here abandons with nothing to roll back (flood
-  // stamps and the cache epoch are scratch, not observable solve state).
+  // stamps are scratch, not observable solve state).
   if (deadline != nullptr) deadline->check("admission");
 
-  std::vector<AgentId> dirty;
   Timer flood_timer;
   if (delta.structural()) {
-    // Pre-edit ball: agents that can *lose* sight of a removed edge (the
-    // new graph may put them beyond D of every seed).
-    collect_dirty(g_, seeds, dirty);
-    // Pre-edit t-cone: origins whose t may DROP its dependence on a removed
-    // edge (the post-edit flood alone could miss them when removal
-    // disconnects).  Coefficient-only deltas keep the topology, so their
-    // pre- and post-edit cones coincide and the post flood suffices.
-    if (tstore_ != nullptr) flood_t_cone(g_, seeds);
+    // Pre-edit ball and t cone: agents that can *lose* sight of a removed
+    // edge (the new graph may put them beyond reach of every seed).
+    // Coefficient-only deltas keep the topology, so their pre- and
+    // post-edit floods coincide and the post floods suffice.
+    collect_dirty(g_, seeds, rewritten_);
+    flood_t_cone(g_, seeds);
   }
   last_.flood_us += flood_timer.micros();
 
@@ -452,88 +411,119 @@ void IncrementalSolver::apply_memoized(const std::vector<NodeId>& seeds,
   }
   last_.apply_us = apply_timer.micros();
 
+  const std::vector<AgentId>& ball = rewritten_;
   try {
     if (deadline != nullptr) deadline->check("graph patch");
 
     flood_timer.reset();
-    collect_dirty(g_, seeds, dirty);  // post-edit ball
-    std::sort(dirty.begin(), dirty.end());
-    // Post-edit t-cone, then invalidation: every snapshot entry an edit can
-    // have perturbed is dropped BEFORE any evaluation may serve it.  The
-    // union with the pre-edit cone lands in t_cone_ (duplicates absorbed by
-    // the idempotent invalidate).
-    if (tstore_ != nullptr) {
-      flood_t_cone(g_, seeds);
-      for (const AgentId u : t_cone_) tstore_->invalidate(u);
-      last_.cone_invalidated = static_cast<std::int64_t>(t_cone_.size());
-    }
+    collect_dirty(g_, seeds, rewritten_);  // post-edit ball
+    std::sort(rewritten_.begin(), rewritten_.end());
+    flood_t_cone(g_, seeds);  // post-edit t cone
+    std::sort(t_cone_.begin(), t_cone_.end());
+    t_cone_.erase(std::unique(t_cone_.begin(), t_cone_.end()), t_cone_.end());
     last_.flood_us += flood_timer.micros();
-    last_.agents_dirty = static_cast<std::int64_t>(dirty.size());
+
+    const std::size_t nb = ball.size();
+    for (std::size_t i = 0; i < nb; ++i) {
+      ball_pos_[static_cast<std::size_t>(ball[i])] =
+          static_cast<std::int32_t>(i);
+    }
+    last_.agents_dirty = static_cast<std::int64_t>(nb);
     last_.agents_reused = g_.num_agents() - last_.agents_dirty;
-    if (dirty.empty()) return;
+    last_.cone_t_recomputed = static_cast<std::int64_t>(t_cone_.size());
+    last_.warm_t_reused = last_.agents_dirty - last_.cone_t_recomputed;
+    last_.evals = last_.agents_dirty;
 
-    // Re-colour the dirty ball only (cone-restricted WL; bit-equal to a
-    // whole-graph full-depth refine for exactly these agents).
-    Timer refine_timer;
-    const PartialColors pc = refine_agent_colors(g_, D_, dirty, opt_.threads);
-    last_.refine_us = refine_timer.micros();
-    last_.region_nodes = pc.region_nodes;
-    if (deadline != nullptr) deadline->check("recolour");
-
-    // Group the dirty agents into view classes by colour.  `dirty` is
-    // sorted ascending, so the first member seen is the smallest agent: the
-    // same representative choice refine_view_classes makes.
-    ViewClasses groups;
-    groups.rounds = D_;
-    std::vector<std::int32_t> group_of(dirty.size());
-    std::unordered_map<ColorPair, std::int32_t, ColorPairHash> ids;
-    ids.reserve(dirty.size());
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      const ColorPair c{pc.color_a[i], pc.color_b[i]};
-      const auto [it, inserted] = ids.emplace(
-          c, static_cast<std::int32_t>(groups.representative.size()));
-      if (inserted) {
-        groups.representative.push_back(dirty[i]);
-        groups.class_size.push_back(0);
-        groups.color_a.push_back(c.a);
-        groups.color_b.push_back(c.b);
-      }
-      group_of[i] = it->second;
-      ++groups.class_size[static_cast<std::size_t>(it->second)];
-    }
-    last_.classes_invalidated = groups.num_classes();
-
-    // Evaluate one representative per dirty class (colour-keyed cache hits
-    // skip even the view build), then scatter to the dirty agents.  Clean
-    // agents keep their stored output: their view is unchanged and x_v is a
-    // pure function of the view.  The scatter into x_ / colours happens
-    // only after the evaluation returned in full, so an abandonment inside
-    // it leaves the solution arrays untouched.
-    TSearchOptions eopt = eval_opt_;
-    eopt.deadline = deadline;
+    // Every value below is staged per ball position; the tables are read
+    // for agents outside the ball (whose entries the edit cannot reach) and
+    // written only after the last deadline probe.
     Timer eval_timer;
-    const ClassEvalResult ev = evaluate_view_classes(
-        g_, groups, opt_.R, eopt, opt_.threads, tstore_.get(), &pool_);
-    last_.eval_us = eval_timer.micros();
-    last_.class_cache_hits = ev.cache_hits;
-    last_.evals = ev.evals;
-    last_.warm_t_reused = ev.warm_t_reused;
-    last_.cone_t_recomputed = ev.cone_t_recomputed;
-    Timer broadcast_timer;
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      const auto v = static_cast<std::size_t>(dirty[i]);
-      x_[v] = ev.x_class[static_cast<std::size_t>(group_of[i])];
-      color_a_[v] = pc.color_a[i];
-      color_b_[v] = pc.color_b[i];
+    t_new_.resize(nb);
+    for (std::size_t i = 0; i < nb; ++i)
+      t_new_[i] = t_.values()[static_cast<std::size_t>(ball[i])];
+    for (const AgentId u : t_cone_) {
+      if (deadline != nullptr) deadline->check("t re-bisection");
+      LOCMM_DCHECK(in_ball(u));  // radius 4r+3 < D(R) around the same seeds
+      t_new_[ball_index(u)] = compute_t_single(sf_, u, r, opt_.t_search);
     }
-    last_.broadcast_us = broadcast_timer.micros();
+    if (deadline != nullptr) deadline->check("smoothing");
+
+    // s_v: the minimum of t over the agents within 2r+1 agent hops (arc
+    // partners and siblings) -- smooth_min's 2r+1 rounds of neighbourhood
+    // minima, taken per agent.  A minimum is exact, so the two agree
+    // bitwise.
+    s_new_.resize(nb);
+    for (std::size_t i = 0; i < nb; ++i) {
+      double m = staged_t(ball[i]);
+      s_walk_.assign(1, ball[i]);
+      s_seen_[static_cast<std::size_t>(ball[i])] = 1;
+      const auto visit = [&](AgentId w) {
+        auto& seen = s_seen_[static_cast<std::size_t>(w)];
+        if (seen != 0) return;
+        seen = 1;
+        s_walk_.push_back(w);
+        m = std::min(m, staged_t(w));
+      };
+      std::size_t begin = 0;
+      for (std::int32_t step = 0; step < 2 * r + 1; ++step) {
+        const std::size_t end = s_walk_.size();
+        for (std::size_t j = begin; j < end; ++j) {
+          for (const ConstraintArc& arc : sf_.arcs(s_walk_[j]))
+            visit(arc.partner);
+          for (const AgentId w : sf_.siblings(s_walk_[j])) visit(w);
+        }
+        begin = end;
+      }
+      for (const AgentId w : s_walk_) s_seen_[static_cast<std::size_t>(w)] = 0;
+      s_new_[i] = m;
+    }
+    if (deadline != nullptr) deadline->check("g recursion");
+
+    // g± depth by depth, g+ before g- (compute_g's order and arithmetic),
+    // then the output (18) with output_x's reduction order.
+    const auto depths = static_cast<std::size_t>(r) + 1;
+    g_plus_new_.resize(depths * nb);
+    g_minus_new_.resize(depths * nb);
+    for (std::int32_t d = 0; d <= r; ++d) {
+      double* const gp = g_plus_new_.data() + static_cast<std::size_t>(d) * nb;
+      double* const gm = g_minus_new_.data() + static_cast<std::size_t>(d) * nb;
+      for (std::size_t i = 0; i < nb; ++i) {
+        if (d == 0) {
+          gp[i] = sf_.inv_cap(ball[i]);  // (12)
+          continue;
+        }
+        double val = std::numeric_limits<double>::infinity();
+        for (const ConstraintArc& arc : sf_.arcs(ball[i])) {
+          val = std::min(
+              val, (1.0 - arc.a_partner * staged_g_minus(d - 1, arc.partner)) /
+                       arc.a_self);  // (14)
+        }
+        gp[i] = val;
+      }
+      for (std::size_t i = 0; i < nb; ++i) {
+        double sum = 0.0;
+        for (const AgentId w : sf_.siblings(ball[i]))
+          sum += staged_g_plus(d, w);
+        gm[i] = std::max(0.0, s_new_[i] - sum);  // (13)
+      }
+    }
+    const double two_R = 2.0 * static_cast<double>(r + 2);
+    x_new_.resize(nb);
+    for (std::size_t i = 0; i < nb; ++i) {
+      double sum = 0.0;
+      for (std::size_t d = 0; d < depths; ++d)
+        sum += g_plus_new_[d * nb + i] + g_minus_new_[d * nb + i];
+      x_new_[i] = sum / two_R;  // (18)
+    }
+    last_.eval_us = eval_timer.micros();
+    if (deadline != nullptr) deadline->check("commit");
   } catch (...) {
     // Commit-or-rollback: undo the instance + graph mutation, leaving the
-    // solver bitwise as before the call (x_ and the colours were never
-    // written -- the scatter runs strictly after the last throw point).
-    // The structural path restores the touched rows from the O(ball) patch
-    // and re-splices the graph against the restored instance (apply_delta
-    // is symmetric: the touched node set is the same either way); the
+    // solver bitwise as before the call (the tables and x_ were never
+    // written -- the commit runs strictly after the last throw point).  The
+    // structural path restores the touched rows from the O(ball) patch and
+    // re-splices the graph against the restored instance (apply_delta is
+    // symmetric: the touched node set is the same either way); the
     // coefficient path applies the recorded inverse.
     if (pre_edit.has_value()) {
       sf_.restore(*pre_edit);
@@ -547,34 +537,30 @@ void IncrementalSolver::apply_memoized(const std::vector<NodeId>& seeds,
         g_.set_edge_coefficient(row, g_.agent_node(e.agent), e.coeff);
       }
     }
-    // The abandoned evaluation may have PUBLISHED post-edit t values for
-    // cone origins before throwing; drop the whole cone again so the store
-    // holds only values valid for the rolled-back (pre-edit) state.
-    // Publishes outside the cone are pre/post-identical by definition and
-    // stay.  Re-invalidating never-published origins is a no-op.
-    if (tstore_ != nullptr)
-      for (const AgentId u : t_cone_) tstore_->invalidate(u);
     last_ = {};
     last_.agents_reused = g_.num_agents();
+    rewritten_.clear();
     throw;
   }
 
-  if (TSearchStats* s = eval_opt_.stats; s != nullptr) {
-    s->agents_dirty.fetch_add(last_.agents_dirty, std::memory_order_relaxed);
-    s->agents_reused.fetch_add(last_.agents_reused,
-                               std::memory_order_relaxed);
-    s->classes_invalidated.fetch_add(last_.classes_invalidated,
-                                     std::memory_order_relaxed);
-    // All WL time lands in refine_us, cold and incremental alike (the
-    // evaluate stage already flushed class_eval_us / class_cache_hits, and
-    // solve_agent_from_view the warm_entries_reused / cone_entries_
-    // recomputed counters).
-    s->refine_us.fetch_add(static_cast<std::int64_t>(last_.refine_us),
-                           std::memory_order_relaxed);
-    s->broadcast_us.fetch_add(static_cast<std::int64_t>(last_.broadcast_us),
-                              std::memory_order_relaxed);
-    s->view_classes.fetch_add(last_.classes_invalidated,
-                              std::memory_order_relaxed);
+  // Commit: pure writes from here on.
+  Timer commit_timer;
+  const std::size_t nb = ball.size();
+  for (const AgentId u : t_cone_)
+    t_.set(static_cast<std::size_t>(u), t_new_[ball_index(u)]);
+  for (std::size_t i = 0; i < nb; ++i) {
+    const auto v = static_cast<std::size_t>(ball[i]);
+    s_[v] = s_new_[i];
+    for (std::size_t d = 0; d <= static_cast<std::size_t>(r); ++d) {
+      g_plus_[d][v] = g_plus_new_[d * nb + i];
+      g_minus_[d][v] = g_minus_new_[d * nb + i];
+    }
+    x_[v] = x_new_[i];
+  }
+  last_.broadcast_us = commit_timer.micros();
+  if (TSearchStats* s = opt_.t_search.stats; s != nullptr) {
+    s->g_evals.fetch_add(2 * static_cast<std::int64_t>(nb) * (r + 1),
+                         std::memory_order_relaxed);
   }
 }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "support/hash.hpp"
-#include "support/thread_pool.hpp"
 
 namespace locmm {
 
@@ -14,13 +13,22 @@ namespace {
 constexpr std::uint64_t kSeedA = 0x517cc1b727220a95ull;
 constexpr std::uint64_t kSeedB = 0x2545f4914f6cdd1dull;
 
-using Color = ColorPair;  // the shared key type of color_refine.hpp
-using ColorHash = ColorPairHash;
+// A 128-bit two-stream WL colour, usable as a hash-map key.
+struct Color {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
 
-// The two pieces of the recurrence, shared verbatim by the whole-graph
-// refinement and the cone-restricted refine_agent_colors so the two can
-// never diverge: colours are only comparable across the two paths (and
-// across solves, via ViewClassCache::color_key) if every round hashes the
+  friend bool operator==(const Color&, const Color&) = default;
+};
+
+struct ColorHash {
+  std::size_t operator()(const Color& c) const {
+    return static_cast<std::size_t>(hash_combine(c.a, c.b));
+  }
+};
+
+// The two pieces of the recurrence.  Colours are only comparable across
+// solves (via ViewClassCache::color_key) if every round hashes the
 // identical byte sequence.
 Color initial_color(const CommGraph& g, NodeId node) {
   const auto type = static_cast<std::uint64_t>(g.type(node));
@@ -144,104 +152,6 @@ ViewClasses refine_view_classes(const CommGraph& g, std::int32_t depth,
     }
     out.class_of[v] = it->second;
     ++out.class_size[static_cast<std::size_t>(it->second)];
-  }
-  return out;
-}
-
-PartialColors refine_agent_colors(const CommGraph& g, std::int32_t depth,
-                                  std::span<const AgentId> agents,
-                                  std::size_t threads) {
-  LOCMM_CHECK(depth >= 0);
-  PartialColors out;
-  out.agents.assign(agents.begin(), agents.end());
-  out.color_a.resize(agents.size());
-  out.color_b.resize(agents.size());
-  if (agents.empty()) return out;
-
-  // Region R = ball(agents, depth), discovered by multi-source BFS; `local`
-  // maps a region node to its index in `region` (everything below indexes
-  // region-locally, so the whole call costs O(|R|), not O(|V|)).
-  std::unordered_map<NodeId, std::int32_t> local;
-  std::vector<NodeId> region;
-  auto visit = [&](NodeId u) -> bool {
-    const auto [it, inserted] =
-        local.emplace(u, static_cast<std::int32_t>(region.size()));
-    if (inserted) region.push_back(u);
-    return inserted;
-  };
-  std::vector<NodeId> frontier, next_frontier;
-  for (const AgentId v : agents) {
-    LOCMM_CHECK(v >= 0 && v < g.num_agents());
-    if (visit(g.agent_node(v))) frontier.push_back(g.agent_node(v));
-  }
-  for (std::int32_t dist = 0; dist < depth && !frontier.empty(); ++dist) {
-    for (const NodeId u : frontier) {
-      for (const HalfEdge& e : g.neighbors(u)) {
-        if (visit(e.to)) next_frontier.push_back(e.to);
-      }
-    }
-    frontier.swap(next_frontier);
-    next_frontier.clear();
-  }
-  out.region_nodes = static_cast<std::int64_t>(region.size());
-
-  // Region-local adjacency: neighbour's local index (-1 when it lies outside
-  // the region), back port and exact coefficient bits, exactly the inputs of
-  // the whole-graph recurrence.
-  std::vector<std::int64_t> offsets(region.size() + 1, 0);
-  for (std::size_t i = 0; i < region.size(); ++i) {
-    offsets[i + 1] = offsets[i] + g.degree(region[i]);
-  }
-  std::vector<std::int32_t> nbr_local(static_cast<std::size_t>(offsets.back()));
-  std::vector<std::uint64_t> nbr_bp(nbr_local.size());
-  std::vector<std::uint64_t> nbr_coeff(nbr_local.size());
-  // Each region index fills only its own slot range reading the shared
-  // `local` map, so the build is data-parallel over the cone.
-  parallel_for(region.size(), threads, [&](std::size_t i) {
-    const NodeId u = region[i];
-    const auto neigh = g.neighbors(u);
-    for (std::size_t p = 0; p < neigh.size(); ++p) {
-      const auto slot = static_cast<std::size_t>(offsets[i]) + p;
-      const auto it = local.find(neigh[p].to);
-      nbr_local[slot] = it == local.end() ? -1 : it->second;
-      nbr_bp[slot] = static_cast<std::uint64_t>(
-          g.back_port(u, static_cast<std::int32_t>(p)));
-      nbr_coeff[slot] = coeff_bits_exact(neigh[p].coeff);
-    }
-  });
-
-  std::vector<Color> cur(region.size()), next(region.size());
-  for (std::size_t i = 0; i < region.size(); ++i) {
-    cur[i] = initial_color(g, region[i]);
-  }
-  // Out-of-region neighbours fold a fixed placeholder: the node reading one
-  // sits at region-boundary distance, so its colour is outside every seed
-  // agent's dependency cone (see the header preamble) and never surfaces.
-  //
-  // Each sweep reads `cur` and writes next[i] only, so the rounds run
-  // data-parallel too -- same bytes hashed in the same per-node order,
-  // bitwise identical to the serial sweep for any thread count.
-  const Color placeholder{};
-  for (std::int32_t round = 0; round < depth; ++round) {
-    parallel_for(region.size(), threads, [&](std::size_t i) {
-      Color h = cur[i];
-      for (std::int64_t j = offsets[i]; j < offsets[i + 1]; ++j) {
-        const std::int32_t u = nbr_local[static_cast<std::size_t>(j)];
-        fold_neighbor(h,
-                      u >= 0 ? cur[static_cast<std::size_t>(u)] : placeholder,
-                      nbr_bp[static_cast<std::size_t>(j)],
-                      nbr_coeff[static_cast<std::size_t>(j)]);
-      }
-      next[i] = h;
-    });
-    cur.swap(next);
-  }
-
-  for (std::size_t i = 0; i < agents.size(); ++i) {
-    const Color& c = cur[static_cast<std::size_t>(
-        local.at(g.agent_node(agents[static_cast<std::size_t>(i)])))];
-    out.color_a[i] = c.a;
-    out.color_b[i] = c.b;
   }
   return out;
 }

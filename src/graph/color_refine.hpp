@@ -42,30 +42,12 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/comm_graph.hpp"
 #include "support/hash.hpp"
 
 namespace locmm {
-
-// A 128-bit two-stream WL colour, usable as a hash-map key.  This is the
-// grouping currency of the refinement: both refine_view_classes and the
-// dynamic subsystem's dirty-ball grouping (src/dynamic) key their class
-// maps on it, so the two can never drift onto different colour layouts.
-struct ColorPair {
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-
-  friend bool operator==(const ColorPair&, const ColorPair&) = default;
-};
-
-struct ColorPairHash {
-  std::size_t operator()(const ColorPair& c) const {
-    return static_cast<std::size_t>(hash_combine(c.a, c.b));
-  }
-};
 
 struct ViewClasses {
   // Dense class id per agent (indexed by AgentId); ids are assigned in
@@ -111,34 +93,5 @@ struct ViewClasses {
 // as cross-solve keys.
 ViewClasses refine_view_classes(const CommGraph& g, std::int32_t depth,
                                 bool full_depth = true);
-
-// Full-depth colours for a *subset* of agents, recomputed from scratch but
-// reading the graph only inside ball(agents, depth): the dynamic-update
-// path of src/dynamic/incremental_solver.  Runs the identical recurrence as
-// refine_view_classes (same seeds, same per-round fold, always the full
-// `depth` rounds) restricted to the region R = ball(agents, depth); nodes
-// at the region boundary read a fixed placeholder for their out-of-region
-// neighbours and therefore carry garbage colours, but the standard cone
-// argument keeps the garbage out of the results: c_t(u) is exact whenever
-// ball(u, t) is contained in R, and for a seed agent v the whole dependency
-// cone of c_depth(v) -- the values (u, t) with dist(v, u) <= depth - t --
-// satisfies that containment because ball(v, depth) is a subset of R by
-// construction.  The returned colours are therefore bit-equal to what a
-// whole-graph refine_view_classes(g, depth, /*full_depth=*/true) would
-// assign these agents, at O(depth * |ball(agents, depth)| * deg) cost
-// instead of O(depth * |E|): after a local edit, only the dirty ball pays
-// for re-colouring.  With threads > 1 the region-adjacency build and the
-// per-round sweeps run data-parallel over the region (each index writes its
-// own slot reading only the previous round), so the colours are bitwise
-// independent of the thread count.
-struct PartialColors {
-  std::vector<AgentId> agents;  // the input agents, in input order
-  std::vector<std::uint64_t> color_a;  // parallel to `agents`
-  std::vector<std::uint64_t> color_b;
-  std::int64_t region_nodes = 0;  // |ball(agents, depth)|: the work bound
-};
-PartialColors refine_agent_colors(const CommGraph& g, std::int32_t depth,
-                                  std::span<const AgentId> agents,
-                                  std::size_t threads = 1);
 
 }  // namespace locmm

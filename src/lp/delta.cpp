@@ -298,4 +298,95 @@ std::optional<InstanceDelta> diff_instances(const MaxMinInstance& from,
   return delta;
 }
 
+StatsTracker::StatsTracker(const MaxMinInstance& inst)
+    : agents_(inst.num_agents()),
+      constraints_(inst.num_constraints()),
+      objectives_(inst.num_objectives()) {
+  for (ConstraintId i = 0; i < inst.num_constraints(); ++i)
+    constraint_rows_.add(inst.constraint_row(i).size());
+  for (ObjectiveId k = 0; k < inst.num_objectives(); ++k)
+    objective_rows_.add(inst.objective_row(k).size());
+  for (AgentId v = 0; v < inst.num_agents(); ++v) {
+    agent_iv_.add(inst.agent_constraints(v).size());
+    agent_kv_.add(inst.agent_objectives(v).size());
+  }
+}
+
+void StatsTracker::SizeCounts::add(std::size_t size) {
+  if (size >= of_size.size()) of_size.resize(size + 1, 0);
+  ++of_size[size];
+  total += static_cast<std::int64_t>(size);
+  max = std::max(max, static_cast<std::int32_t>(size));
+}
+
+void StatsTracker::SizeCounts::remove(std::size_t size) {
+  LOCMM_CHECK(size < of_size.size() && of_size[size] > 0);
+  --of_size[size];
+  total -= static_cast<std::int64_t>(size);
+  while (max > 0 && of_size[static_cast<std::size_t>(max)] == 0) --max;
+}
+
+void StatsTracker::touched(const InstanceDelta& delta) {
+  touched_constraints_.clear();
+  touched_objectives_.clear();
+  touched_agents_.clear();
+  const auto note = [&](const MembershipEdit& e) {
+    (e.kind == RowKind::kConstraint ? touched_constraints_
+                                    : touched_objectives_)
+        .push_back(e.row);
+    touched_agents_.push_back(e.agent);
+  };
+  for (const MembershipEdit& e : delta.removes) note(e);
+  for (const MembershipEdit& e : delta.adds) note(e);
+  for (auto* ids :
+       {&touched_constraints_, &touched_objectives_, &touched_agents_}) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  }
+}
+
+void StatsTracker::update(const MaxMinInstance& inst, bool add) {
+  const auto move = [add](SizeCounts& c, std::size_t size) {
+    if (add) {
+      c.add(size);
+    } else {
+      c.remove(size);
+    }
+  };
+  for (const ConstraintId i : touched_constraints_)
+    move(constraint_rows_, inst.constraint_row(i).size());
+  for (const ObjectiveId k : touched_objectives_)
+    move(objective_rows_, inst.objective_row(k).size());
+  for (const AgentId v : touched_agents_) {
+    move(agent_iv_, inst.agent_constraints(v).size());
+    move(agent_kv_, inst.agent_objectives(v).size());
+  }
+}
+
+void StatsTracker::forget(const MaxMinInstance& inst,
+                          const InstanceDelta& delta) {
+  touched(delta);
+  update(inst, /*add=*/false);
+}
+
+void StatsTracker::count(const MaxMinInstance& inst,
+                         const InstanceDelta& delta) {
+  touched(delta);
+  update(inst, /*add=*/true);
+}
+
+InstanceStats StatsTracker::stats() const {
+  InstanceStats s;
+  s.agents = agents_;
+  s.constraints = constraints_;
+  s.objectives = objectives_;
+  s.nnz_a = constraint_rows_.total;
+  s.nnz_c = objective_rows_.total;
+  s.delta_i = constraint_rows_.max;
+  s.delta_k = objective_rows_.max;
+  s.max_iv = agent_iv_.max;
+  s.max_kv = agent_kv_.max;
+  return s;
+}
+
 }  // namespace locmm

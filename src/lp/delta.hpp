@@ -95,9 +95,10 @@ struct InstanceDelta {
   // Visits every edited (row, agent) edge as (kind, row, agent), in
   // application order (removes, adds, coefficient edits).  This is the
   // dirty-seed enumeration shared by the incremental layers: both endpoints
-  // of every visited edge seed the radius-D(R) flood of the engine-L
-  // dirty-ball path (dynamic/incremental_solver.hpp) and the activation
-  // distances of the SyncNetwork replay (dist/message_passing.hpp).
+  // of every visited edge seed the t-cone and radius-D(R) floods of the
+  // engine-C incremental path (dynamic/incremental_solver.hpp) and the
+  // activation distances of the SyncNetwork replay
+  // (dist/message_passing.hpp).
   template <typename Fn>
   void for_each_touched_edge(Fn&& fn) const {
     for (const MembershipEdit& e : removes) fn(e.kind, e.row, e.agent);
@@ -155,5 +156,40 @@ struct InstanceDelta {
 // surfaces as a small special-form coefficient delta.
 std::optional<InstanceDelta> diff_instances(const MaxMinInstance& from,
                                             const MaxMinInstance& to);
+
+// MaxMinInstance::stats() kept current across deltas from per-size counts
+// of rows and agent incidences: a membership edit moves only the touched
+// rows and agents between size buckets, where stats() rescans every row.
+// Bracket each inst.apply(delta) with forget(inst, delta) before and
+// count(inst, delta) after; stats() then equals inst.stats().
+class StatsTracker {
+ public:
+  StatsTracker() = default;
+  explicit StatsTracker(const MaxMinInstance& inst);
+
+  void forget(const MaxMinInstance& inst, const InstanceDelta& delta);
+  void count(const MaxMinInstance& inst, const InstanceDelta& delta);
+
+  InstanceStats stats() const;
+
+ private:
+  // How many items have each size; the max over non-empty buckets.
+  struct SizeCounts {
+    std::vector<std::int64_t> of_size;
+    std::int64_t total = 0;  // sum of the sizes
+    std::int32_t max = 0;
+    void add(std::size_t size);
+    void remove(std::size_t size);
+  };
+  // The rows and agents whose sizes a delta's membership edits change.
+  void touched(const InstanceDelta& delta);
+  void update(const MaxMinInstance& inst, bool add);
+
+  std::int64_t agents_ = 0, constraints_ = 0, objectives_ = 0;
+  SizeCounts constraint_rows_, objective_rows_, agent_iv_, agent_kv_;
+  std::vector<ConstraintId> touched_constraints_;
+  std::vector<ObjectiveId> touched_objectives_;
+  std::vector<AgentId> touched_agents_;
+};
 
 }  // namespace locmm

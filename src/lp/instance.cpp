@@ -36,11 +36,8 @@ double MaxMinInstance::utility(std::span<const double> x) const {
   LOCMM_CHECK(static_cast<std::int32_t>(x.size()) == num_agents());
   LOCMM_CHECK_MSG(num_objectives() > 0, "utility of instance with no objectives");
   double omega = std::numeric_limits<double>::infinity();
-  for (ObjectiveId k = 0; k < num_objectives(); ++k) {
-    double val = 0.0;
-    for (const Entry& e : objective_row(k)) val += e.coeff * x[e.agent];
-    omega = std::min(omega, val);
-  }
+  for (ObjectiveId k = 0; k < num_objectives(); ++k)
+    omega = std::min(omega, objective_value(k, x));
   return omega;
 }
 
@@ -48,11 +45,8 @@ std::vector<double> MaxMinInstance::objective_values(
     std::span<const double> x) const {
   LOCMM_CHECK(static_cast<std::int32_t>(x.size()) == num_agents());
   std::vector<double> vals(static_cast<std::size_t>(num_objectives()), 0.0);
-  for (ObjectiveId k = 0; k < num_objectives(); ++k) {
-    double val = 0.0;
-    for (const Entry& e : objective_row(k)) val += e.coeff * x[e.agent];
-    vals[static_cast<std::size_t>(k)] = val;
-  }
+  for (ObjectiveId k = 0; k < num_objectives(); ++k)
+    vals[static_cast<std::size_t>(k)] = objective_value(k, x);
   return vals;
 }
 

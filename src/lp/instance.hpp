@@ -61,6 +61,8 @@ struct InstanceStats {
   std::int32_t delta_k = 0;   // max |Vk|  (objective degree bound)
   std::int32_t max_iv = 0;    // max |Iv|  (constraints per agent)
   std::int32_t max_kv = 0;    // max |Kv|  (objectives per agent)
+
+  friend bool operator==(const InstanceStats&, const InstanceStats&) = default;
 };
 
 class InstanceBuilder;
@@ -119,6 +121,14 @@ class MaxMinInstance {
 
   // Per-objective utilities omega_k(x).
   std::vector<double> objective_values(std::span<const double> x) const;
+
+  // omega_k(x) of one objective: its row summed in port order, the fold
+  // utility() and objective_values() use.
+  double objective_value(ObjectiveId k, std::span<const double> x) const {
+    double val = 0.0;
+    for (const Entry& e : objective_row(k)) val += e.coeff * x[e.agent];
+    return val;
+  }
 
   // max over constraints of (a_i . x) - 1; negative/zero means feasible.
   // Also accounts for negativity of x: returns max(violation, -min_v x_v).

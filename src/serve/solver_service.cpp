@@ -328,7 +328,7 @@ ServeStatus SolverService::utility(const std::string& name,
                               "no tenant '" + name + "'");
   }
   std::lock_guard<std::mutex> lock(t->mu);
-  out->value = t->solver->special().instance().utility(t->solver->x());
+  out->value = t->solver->omega();  // O(1): the solver's min-tree
   out->stale = !t->queue.empty();
   out->epoch = t->stats.committed_epoch;
   return ServeStatus::Ok();

@@ -3,7 +3,7 @@
 // what makes it viable: every edit re-solves a radius-D(R) ball, so one
 // process can serve many mutating instances).
 //
-// Each tenant owns one engine-L IncrementalSolver (its COMMITTED state: the
+// Each tenant owns one engine-C IncrementalSolver (its COMMITTED state: the
 // solution every query answers from) plus a bounded queue of admitted but
 // not yet applied delta batches.  The design makes every failure mode a
 // contained, reported outcome:
@@ -119,8 +119,9 @@ class SolverService {
   // batches committed across all tenants.
   std::int64_t repair_idle();
 
-  // Point queries, answered from the committed epoch (never recompute, so
-  // they are cheap and never throw; `stale` flags a lagging queue).
+  // Point queries, answered from the committed epoch in O(1) (x entry, or
+  // the solver's maintained omega); they never recompute and never throw.
+  // `stale` flags a lagging queue.
   ServeStatus query_x(const std::string& name, AgentId agent,
                       QueryResult* out) const;
   ServeStatus utility(const std::string& name, QueryResult* out) const;

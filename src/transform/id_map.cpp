@@ -326,20 +326,32 @@ std::vector<double> PipelineIdMap::map_back(
     std::span<const double> x_special) const {
   LOCMM_CHECK(x_special.size() == gamma.size());
   std::vector<double> x(agent_first.size());
-  for (std::size_t v = 0; v < agent_first.size(); ++v) {
-    // max over the flattened copies x halves span, seeded 0.0 -- the §4.4 /
-    // §4.5 closures' nested max folds flattened (associative, and every
-    // candidate is >= +0.0, so the fold is bitwise order-insensitive);
-    // division by gamma is §4.6's expression, 2x/divisor is §4.3's.
-    double best = 0.0;
-    const auto first = static_cast<std::size_t>(agent_first[v]);
-    const auto count = static_cast<std::size_t>(agent_count[v]);
-    for (std::size_t h = first; h < first + count; ++h) {
-      best = std::max(best, x_special[h] / gamma[h]);
-    }
-    x[v] = 2.0 * best / divisor[v];
-  }
+  for (std::size_t v = 0; v < agent_first.size(); ++v)
+    x[v] = map_back_agent(static_cast<AgentId>(v), x_special);
   return x;
+}
+
+double PipelineIdMap::map_back_agent(AgentId v,
+                                     std::span<const double> x_special) const {
+  // max over the flattened copies x halves span, seeded 0.0 -- the §4.4 /
+  // §4.5 closures' nested max folds flattened (associative, and every
+  // candidate is >= +0.0, so the fold is bitwise order-insensitive);
+  // division by gamma is §4.6's expression, 2x/divisor is §4.3's.
+  const auto sv = static_cast<std::size_t>(v);
+  double best = 0.0;
+  const auto first = static_cast<std::size_t>(agent_first[sv]);
+  const auto count = static_cast<std::size_t>(agent_count[sv]);
+  for (std::size_t h = first; h < first + count; ++h) {
+    best = std::max(best, x_special[h] / gamma[h]);
+  }
+  return 2.0 * best / divisor[sv];
+}
+
+AgentId PipelineIdMap::owner_of(AgentId w) const {
+  const auto it = std::upper_bound(agent_first.begin(), agent_first.end(), w);
+  if (it == agent_first.begin()) return -1;
+  const auto v = static_cast<std::size_t>(it - agent_first.begin()) - 1;
+  return w < agent_first[v] + agent_count[v] ? static_cast<AgentId>(v) : -1;
 }
 
 }  // namespace locmm

@@ -125,6 +125,15 @@ struct PipelineIdMap {
   // -- after fast-path edits the step closures hold stale coefficients and
   // this is the only correct back-map.
   std::vector<double> map_back(std::span<const double> x_special) const;
+
+  // map_back's value for the one original agent v: an edit that rewrote a
+  // few special entries maps back only their owners.
+  double map_back_agent(AgentId v, std::span<const double> x_special) const;
+
+  // The original agent whose image span holds special agent w, or -1 when
+  // none does (the §4.2 gadget agents).  O(log n): the spans are
+  // contiguous and ascending.
+  AgentId owner_of(AgentId w) const;
 };
 
 // Builds the composed id map from the original instance and the five

@@ -5,13 +5,14 @@
 //   M  message passing with view gathering     (dist/gather.hpp)
 //   S  message passing with scalar phases      (dist/streaming.hpp)
 //
-// All four are realisations of the same §5 algorithm, so on every instance
-// they must agree to 1e-9 (they are in fact engineered to agree bitwise; the
-// tolerance is the contract).  The message engines must additionally report
+// All four are realisations of the same §5 algorithm with one reduction
+// order, so on every instance they must agree bitwise.  The message engines
+// must additionally report
 // round counts that depend only on R -- never on the instance size -- which
 // is the paper's definition of a local algorithm.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "core/local_solver.hpp"
@@ -23,6 +24,10 @@
 
 namespace locmm {
 namespace {
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 void expect_four_way_agreement(const MaxMinInstance& special, std::int32_t R) {
   ASSERT_TRUE(is_special_form(special));
@@ -39,9 +44,9 @@ void expect_four_way_agreement(const MaxMinInstance& special, std::int32_t R) {
   ASSERT_EQ(m.x.size(), c.x.size());
   ASSERT_EQ(s.x.size(), c.x.size());
   for (std::size_t v = 0; v < c.x.size(); ++v) {
-    EXPECT_NEAR(l[v], c.x[v], 1e-9) << "engine L, agent " << v << " R=" << R;
-    EXPECT_NEAR(m.x[v], c.x[v], 1e-9) << "engine M, agent " << v << " R=" << R;
-    EXPECT_NEAR(s.x[v], c.x[v], 1e-9) << "engine S, agent " << v << " R=" << R;
+    EXPECT_TRUE(same_bits(l[v], c.x[v])) << "engine L, agent " << v << " R=" << R;
+    EXPECT_TRUE(same_bits(m.x[v], c.x[v])) << "engine M, agent " << v << " R=" << R;
+    EXPECT_TRUE(same_bits(s.x[v], c.x[v])) << "engine S, agent " << v << " R=" << R;
   }
 }
 

@@ -3,13 +3,14 @@
 //   * differential equivalence -- on cycle, grid, regular and random
 //     instances the DP engine must reproduce the naive recursive oracle
 //     (ViewEngine::kNaive, the literal transcription of recursions (5)-(14))
-//     and engine C (solve_special_centralized) to 1e-9;
+//     and engine C (solve_special_centralized) bitwise;
 //   * complexity -- the instrumentation hook (TSearchOptions::stats) must
 //     certify that the DP engine visits O(view_size * r) states per omega
 //     sweep, i.e. the exponential re-expansion of the naive recursion is
 //     actually gone, not just faster by a constant.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "core/local_solver.hpp"
@@ -22,9 +23,13 @@
 namespace locmm {
 namespace {
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 // Runs all three evaluators on a special-form instance and checks pairwise
-// agreement to 1e-9 (the naive and DP engines follow bit-identical probe
-// sequences, so they typically agree exactly; 1e-9 is the contract).
+// bitwise agreement (the naive and DP engines follow bit-identical probe
+// sequences, and all engines share one reduction order).
 void expect_dp_matches(const MaxMinInstance& special, std::int32_t R) {
   ASSERT_TRUE(is_special_form(special));
   const SpecialFormInstance sf(special);
@@ -42,8 +47,8 @@ void expect_dp_matches(const MaxMinInstance& special, std::int32_t R) {
   ASSERT_EQ(dp.size(), naive.size());
   ASSERT_EQ(dp.size(), c.x.size());
   for (std::size_t v = 0; v < dp.size(); ++v) {
-    EXPECT_NEAR(dp[v], naive[v], 1e-9) << "agent " << v << " R=" << R;
-    EXPECT_NEAR(dp[v], c.x[v], 1e-9) << "agent " << v << " R=" << R;
+    EXPECT_TRUE(same_bits(dp[v], naive[v])) << "agent " << v << " R=" << R;
+    EXPECT_TRUE(same_bits(dp[v], c.x[v])) << "agent " << v << " R=" << R;
   }
 }
 
@@ -126,7 +131,7 @@ TEST(DpEngine, TRootMatchesNaive) {
       naive_opt.engine = ViewEngine::kNaive;
       const double tn = t_root_from_view(view, r, naive_opt);
       const double td = t_root_from_view(view, r, {});
-      EXPECT_NEAR(td, tn, 1e-9) << "agent " << v << " r=" << r;
+      EXPECT_TRUE(same_bits(td, tn)) << "agent " << v << " r=" << r;
     }
   }
 }
@@ -149,7 +154,7 @@ TEST(DpEngine, ScratchReuseAcrossHeterogeneousViews) {
         naive_opt.engine = ViewEngine::kNaive;
         const double xn = solve_agent_from_view(view, R, naive_opt);
         const double xd = solve_agent_from_view(view, R, {}, &scratch);
-        EXPECT_NEAR(xd, xn, 1e-9) << "agent " << v << " R=" << R;
+        EXPECT_TRUE(same_bits(xd, xn)) << "agent " << v << " R=" << R;
       }
     }
   }

@@ -413,8 +413,8 @@ TEST(FaultDegradation, ExhaustedBudgetDegradesAccurately) {
   EXPECT_EQ(m.stats.recovered_messages, 0);
   EXPECT_EQ(m.stats.recovery_rounds, 0);
 
-  // Engine S: un-degraded agents bitwise, degraded ones carry the engine-L
-  // fallback (~1 ulp from S's reduction order; 1e-9 bounds it).
+  // Engine S: un-degraded agents bitwise, and so are the degraded ones: they
+  // carry the engine-L fallback, which shares S's reduction order.
   const StreamingRunResult oracle_s = solve_special_streaming(wheel, R);
   const StreamingRunResult s =
       solve_special_streaming(wheel, R, {}, 1, &plan);
@@ -423,7 +423,7 @@ TEST(FaultDegradation, ExhaustedBudgetDegradesAccurately) {
   for (std::size_t v = 0; v < s.x.size(); ++v) {
     if (s.degraded[v] != 0) {
       ++s_flagged;
-      EXPECT_NEAR(s.x[v], oracle_s.x[v], 1e-9) << "agent " << v;
+      EXPECT_TRUE(same_bits(s.x[v], oracle_s.x[v])) << "agent " << v;
     } else {
       EXPECT_TRUE(same_bits(s.x[v], oracle_s.x[v]))
           << "un-degraded agent " << v << " not bitwise fault-free: "
@@ -533,18 +533,20 @@ TEST(FaultDynamic, UnrecoverableColdSolveDegradesToLocalPath) {
   IncrementalSolver inc(wheel, opt);
   EXPECT_TRUE(inc.degraded_to_local());
   EXPECT_EQ(inc.engine(), DynamicEngine::kMemoizedDp);
-  expect_same_vector(inc.x(), solve_special_local_views(wheel, R),
-                     "degraded cold solve vs scratch L", -1);
+  expect_same_vector(inc.x(),
+                     solve_special_centralized(SpecialFormInstance(wheel), R).x,
+                     "degraded cold solve vs scratch C", -1);
 
-  // Updates carry on over the engine-L dirty-ball machinery, still exact.
+  // Updates carry on over the engine-C tables, still exact.
   MaxMinInstance cur = wheel;
   Rng rng(58);
   for (int step = 0; step < 3; ++step) {
     const InstanceDelta delta = random_coeff_delta(inc.special(), rng);
     inc.apply(delta);
     cur.apply(delta);
-    expect_same_vector(inc.x(), solve_special_local_views(cur, R),
-                       "degraded-path update vs scratch L", step);
+    expect_same_vector(inc.x(),
+                       solve_special_centralized(SpecialFormInstance(cur), R).x,
+                       "degraded-path update vs scratch C", step);
     EXPECT_EQ(inc.last_update().net.fresh_messages, 0);
   }
 }
@@ -603,9 +605,10 @@ TEST(FaultSolverApi, RecoveredRunReportsNoDegradation) {
 
 TEST(FaultSolverApi, DegradedFlagsCoverEveryInexactOriginalAgent) {
   // Engine S under a permanent crash: degraded special agents carry the
-  // engine-L fallback (~1 ulp off S), so the mapped-back flags must cover
-  // every original coordinate that is not bitwise fault-free -- that is the
-  // guarantee the flags exist to give.
+  // engine-L fallback instead of the in-network value, so the mapped-back
+  // flags must cover every original coordinate that reads one -- un-flagged
+  // coordinates are bitwise fault-free, which is the guarantee the flags
+  // exist to give.
   const MaxMinInstance inst = random_general({.num_agents = 16}, 13);
   const std::int32_t R = 2;
   const Pipeline pipeline = to_special_form(inst);
@@ -636,7 +639,7 @@ TEST(FaultSolverApi, DegradedFlagsCoverEveryInexactOriginalAgent) {
       EXPECT_TRUE(same_bits(sol.x[v], clean.x[v]))
           << "un-flagged original agent " << v << " is not bitwise exact";
     } else {
-      EXPECT_NEAR(sol.x[v], clean.x[v], 1e-9) << "agent " << v;
+      EXPECT_TRUE(same_bits(sol.x[v], clean.x[v])) << "agent " << v;
     }
   }
   EXPECT_GT(flagged, 0);

@@ -1,34 +1,33 @@
 // Tests for the incremental re-solve subsystem: InstanceDelta semantics
 // (apply == rebuild, diff round-trips), delta support in SpecialFormInstance
-// and CommGraph, the cone-restricted WL recolouring, and -- the headline --
-// randomized edit scripts over cycle / grid / 3-regular / random instances
-// at R in {2, 3} whose incrementally maintained solutions must stay
-// BIT-identical to a from-scratch solve after every step, through
-// IncrementalSolver (special-form deltas) and LocalResolver
-// (original-instance deltas routed through the §4 pipeline).
+// and CommGraph, and -- the headline -- randomized edit scripts over cycle /
+// grid / 3-regular / random instances at R in {2, 3} whose incrementally
+// maintained tables must stay BIT-identical to a scratch engine-C solve
+// after every step, through IncrementalSolver (special-form deltas) and
+// LocalResolver (original-instance deltas routed through the §4 pipeline).
+// Plus the transactional contract (rejections and deadline abandonments
+// leave every table bitwise untouched) and the O(ball) flatness contract
+// (an edit's work counters do not grow with n).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "core/solver_api.hpp"
 #include "support/deadline.hpp"
-#include "core/view_solver.hpp"
 #include "dynamic/incremental_solver.hpp"
 #include "gen/generators.hpp"
-#include "graph/color_refine.hpp"
 #include "graph/comm_graph.hpp"
 #include "lp/delta.hpp"
+#include "scratch_oracle.hpp"
 #include "support/prng.hpp"
 #include "transform/transform.hpp"
 
 namespace locmm {
 namespace {
 
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
+using testing::expect_tables_match_scratch;
+using testing::same_bits;
 
 // Full bitwise structural equality of two instances: rows (agents and exact
 // coefficient bits, in port order) and agent incidence.
@@ -433,43 +432,6 @@ TEST(CommGraphDelta, CoefficientPatchMatchesFreshGraph) {
 }
 
 // ---------------------------------------------------------------------------
-// Cone-restricted WL recolouring
-// ---------------------------------------------------------------------------
-
-TEST(PartialRefine, MatchesFullRefineOnSeedAgents) {
-  const std::int32_t depth = 11;  // deep enough to outlive stabilization
-  const std::vector<MaxMinInstance> insts = {
-      special_grid_instance({.rows = 4, .cols = 9}, 1),
-      circulant_special_instance({.num_objectives = 10, .delta_k = 3}, 1),
-      random_special_form({.num_agents = 26}, 57),
-  };
-  Rng rng(3);
-  for (const MaxMinInstance& inst : insts) {
-    const CommGraph g(inst);
-    const ViewClasses full = refine_view_classes(g, depth, /*full_depth=*/true);
-    ASSERT_EQ(full.rounds, depth);
-    std::vector<AgentId> seeds;
-    for (int i = 0; i < 6; ++i) {
-      seeds.push_back(static_cast<AgentId>(
-          rng.below(static_cast<std::uint64_t>(inst.num_agents()))));
-    }
-    std::sort(seeds.begin(), seeds.end());
-    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-    const PartialColors pc = refine_agent_colors(g, depth, seeds);
-    ASSERT_EQ(pc.agents.size(), seeds.size());
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      const auto ci =
-          static_cast<std::size_t>(full.class_of[static_cast<std::size_t>(
-              seeds[i])]);
-      EXPECT_EQ(pc.color_a[i], full.color_a[ci]) << "agent " << seeds[i];
-      EXPECT_EQ(pc.color_b[i], full.color_b[ci]) << "agent " << seeds[i];
-    }
-    EXPECT_GT(pc.region_nodes, 0);
-    EXPECT_LE(pc.region_nodes, g.num_nodes());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // IncrementalSolver: randomized special-form edit scripts
 // ---------------------------------------------------------------------------
 
@@ -566,14 +528,8 @@ void run_incremental_script(const MaxMinInstance& special, std::int32_t R,
   IncrementalSolver inc(special, opt);
   MaxMinInstance cur = special;
 
-  // The initial solve must already match a cold engine-L solve bitwise.
-  {
-    const std::vector<double> oracle = solve_special_local_views(cur, R);
-    ASSERT_EQ(inc.x().size(), oracle.size());
-    for (std::size_t v = 0; v < oracle.size(); ++v) {
-      EXPECT_TRUE(same_bits(inc.x()[v], oracle[v])) << "cold, agent " << v;
-    }
-  }
+  // The initial solve must already match a scratch engine-C solve bitwise.
+  expect_tables_match_scratch(inc, cur, "cold");
 
   for (int step = 0; step < steps; ++step) {
     const InstanceDelta delta =
@@ -586,16 +542,12 @@ void run_incremental_script(const MaxMinInstance& special, std::int32_t R,
     // rebuild of the same rows would (ports ARE the positions).
     expect_same_instance(cur, rebuild(cur));
 
-    const std::vector<double> oracle = solve_special_local_views(cur, R);
-    ASSERT_EQ(inc.x().size(), oracle.size());
-    for (std::size_t v = 0; v < oracle.size(); ++v) {
-      ASSERT_TRUE(same_bits(inc.x()[v], oracle[v]))
-          << "step " << step << ", agent " << v << ": " << inc.x()[v]
-          << " vs " << oracle[v];
-    }
+    expect_tables_match_scratch(inc, cur, "step " + std::to_string(step));
     const auto& u = inc.last_update();
     EXPECT_EQ(u.agents_dirty + u.agents_reused, cur.num_agents());
-    EXPECT_EQ(u.class_cache_hits + u.evals, u.classes_invalidated);
+    EXPECT_EQ(static_cast<std::int64_t>(inc.last_rewritten().size()),
+              u.agents_dirty);
+    EXPECT_LE(u.cone_t_recomputed, u.agents_dirty);
   }
 }
 
@@ -654,8 +606,8 @@ TEST(IncrementalSolver, MembershipChurnScriptsBitIdentical) {
   // Add/remove-heavy scripts: every step is structural (remove-then-re-add
   // refreshes, rewires, objective moves) on the three natively-special
   // families at R in {2, 3}.  Same contract as the mixed scripts: the
-  // maintained solution matches a scratch engine-L solve bitwise after
-  // every step.
+  // maintained tables match a scratch engine-C solve bitwise after every
+  // step.
   const MaxMinInstance wheel = layered_instance(
       {.delta_k = 2, .layers = 30, .width = 1, .twist = 0});
   const MaxMinInstance grid = special_grid_instance({.rows = 4, .cols = 8}, 2);
@@ -735,28 +687,72 @@ TEST(IncrementalSolver, ReusesAgentsOutsideTheDirtyBall) {
   EXPECT_LT(u.agents_dirty, grid.num_agents());
   EXPECT_EQ(stats.agents_dirty.load(), u.agents_dirty);
   EXPECT_EQ(stats.agents_reused.load(), u.agents_reused);
-  EXPECT_EQ(stats.classes_invalidated.load(), u.classes_invalidated);
+  // Every entry outside the reported ball kept its bits.
+  const std::vector<double> before = IncrementalSolver(grid, opt).x();
+  std::vector<std::uint8_t> in_ball(before.size(), 0);
+  for (const AgentId v : inc.last_rewritten())
+    in_ball[static_cast<std::size_t>(v)] = 1;
+  for (std::size_t v = 0; v < before.size(); ++v) {
+    if (in_ball[v] == 0) {
+      EXPECT_TRUE(same_bits(inc.x()[v], before[v])) << "agent " << v;
+    }
+  }
 
   // And the result still matches a from-scratch solve bitwise.
   MaxMinInstance cur = grid;
   cur.apply(delta);
-  const std::vector<double> oracle = solve_special_local_views(cur, 2);
-  for (std::size_t v = 0; v < oracle.size(); ++v) {
-    ASSERT_TRUE(same_bits(inc.x()[v], oracle[v])) << "agent " << v;
-  }
+  expect_tables_match_scratch(inc, cur, "edit");
 
-  // Reverting the edit must hit the colour cache: the original classes were
-  // all inserted during the cold solve.
+  // Reverting the edit restores the cold tables bitwise.
   InstanceDelta revert;
   revert.set_constraint_coeff(sf.arcs(0)[0].id, 0,
                               grid.constraint_row(sf.arcs(0)[0].id)[0].agent == 0
                                   ? grid.constraint_row(sf.arcs(0)[0].id)[0].coeff
                                   : grid.constraint_row(sf.arcs(0)[0].id)[1].coeff);
   inc.apply(revert);
-  EXPECT_EQ(inc.last_update().evals, 0) << "revert should be all cache hits";
-  const std::vector<double> oracle0 = solve_special_local_views(grid, 2);
-  for (std::size_t v = 0; v < oracle0.size(); ++v) {
-    ASSERT_TRUE(same_bits(inc.x()[v], oracle0[v])) << "agent " << v;
+  expect_tables_match_scratch(inc, grid, "revert");
+}
+
+// The O(ball) contract: the same local edits on a 10k- and a 100k-agent
+// paired torus do the same work -- the same t re-bisections, the same
+// rewritten s, g± and x entries (the ball) and objective sums, and the
+// resolver maps back the same originals.  Nothing in an edit may scale
+// with n.
+TEST(IncrementalSolver, EditWorkIsFlatInN) {
+  struct Work {
+    std::int64_t t, ball, sums, mapped;
+    bool operator==(const Work&) const = default;
+  };
+  const auto measure = [](std::int32_t cols) {
+    const MaxMinInstance torus =
+        special_grid_instance({.rows = 4, .cols = cols}, 7);
+    LocalResolver res(torus, LocalParams{});  // R = 4, engine C
+    // One coefficient edit and one membership churn at agent 0.
+    const Incidence inc0 = torus.agent_constraints(0)[0];
+    std::vector<Work> work;
+    std::vector<InstanceDelta> edits(2);
+    edits[0].set_constraint_coeff(inc0.row, 0, 1.625);
+    edits[1].remove_from_constraint(inc0.row, 0).add_to_constraint(inc0.row,
+                                                                   0, 0.75);
+    for (const InstanceDelta& d : edits) {
+      res.resolve(d);
+      EXPECT_TRUE(res.last_resolve_was_delta());
+      const auto& u = res.solver().last_update();
+      work.push_back({u.cone_t_recomputed, u.agents_dirty, u.sums_rewritten,
+                      res.last_mapped_back()});
+    }
+    return work;
+  };
+  const std::vector<Work> small = measure(2500);
+  const std::vector<Work> large = measure(25000);
+  ASSERT_EQ(small.size(), large.size());
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_EQ(small[i].t, large[i].t) << "edit " << i;
+    EXPECT_EQ(small[i].ball, large[i].ball) << "edit " << i;
+    EXPECT_EQ(small[i].sums, large[i].sums) << "edit " << i;
+    EXPECT_EQ(small[i].mapped, large[i].mapped) << "edit " << i;
+    EXPECT_GT(small[i].t, 0);
+    EXPECT_LT(small[i].ball, 1000) << "edit " << i;
   }
 }
 
@@ -833,6 +829,33 @@ InstanceDelta random_original_delta(const MaxMinInstance& inst, Rng& rng) {
   return delta;
 }
 
+// Every field solve_local computes, bitwise: the original and special
+// solutions, both utilities, min t, the special form's stats and the
+// a-priori guarantee.
+void expect_same_solution(const LocalSolution& sol, const LocalSolution& oracle,
+                          int step) {
+  ASSERT_EQ(sol.x.size(), oracle.x.size());
+  for (std::size_t v = 0; v < oracle.x.size(); ++v) {
+    ASSERT_TRUE(same_bits(sol.x[v], oracle.x[v]))
+        << "step " << step << ", agent " << v << ": " << sol.x[v] << " vs "
+        << oracle.x[v];
+  }
+  ASSERT_EQ(sol.x_special.size(), oracle.x_special.size());
+  for (std::size_t v = 0; v < oracle.x_special.size(); ++v) {
+    ASSERT_TRUE(same_bits(sol.x_special[v], oracle.x_special[v]))
+        << "step " << step << ", special agent " << v;
+  }
+  EXPECT_TRUE(same_bits(sol.omega, oracle.omega)) << "step " << step;
+  EXPECT_TRUE(same_bits(sol.omega_special, oracle.omega_special))
+      << "step " << step;
+  EXPECT_TRUE(same_bits(sol.t_min_special, oracle.t_min_special))
+      << "step " << step;
+  EXPECT_TRUE(same_bits(sol.guarantee, oracle.guarantee)) << "step " << step;
+  EXPECT_TRUE(sol.special_stats == oracle.special_stats) << "step " << step;
+  EXPECT_TRUE(same_bits(sol.ratio_factor, oracle.ratio_factor))
+      << "step " << step;
+}
+
 void run_resolver_script(const MaxMinInstance& inst, std::int32_t R,
                          std::uint64_t seed, int steps) {
   Rng rng(seed);
@@ -843,16 +866,8 @@ void run_resolver_script(const MaxMinInstance& inst, std::int32_t R,
   MaxMinInstance cur = inst;
 
   auto expect_matches_scratch = [&](int step) {
-    const LocalSolution oracle = solve_local(cur, params);
-    const LocalSolution& sol = resolver.solution();
-    ASSERT_EQ(sol.x.size(), oracle.x.size());
-    for (std::size_t v = 0; v < oracle.x.size(); ++v) {
-      ASSERT_TRUE(same_bits(sol.x[v], oracle.x[v]))
-          << "step " << step << ", agent " << v << ": " << sol.x[v] << " vs "
-          << oracle.x[v];
-    }
-    EXPECT_TRUE(same_bits(sol.omega, oracle.omega)) << "step " << step;
-    EXPECT_TRUE(cur.is_feasible(sol.x, 1e-9));
+    expect_same_solution(resolver.solution(), solve_local(cur, params), step);
+    EXPECT_TRUE(cur.is_feasible(resolver.solution().x, 1e-9));
   };
   expect_matches_scratch(-1);
 
@@ -884,7 +899,6 @@ void run_resolver_churn_script(const MaxMinInstance& inst, std::int32_t R,
   Rng rng(seed);
   LocalParams params;
   params.R = R;
-  params.engine = LocalEngine::kLocalViews;
   LocalResolver resolver(inst, params);
   MaxMinInstance cur = inst;
   SpecialFormInstance mirror(inst);  // generator needs the arc view
@@ -899,15 +913,8 @@ void run_resolver_churn_script(const MaxMinInstance& inst, std::int32_t R,
     EXPECT_TRUE(resolver.last_resolve_was_delta())
         << "structural edit fell off the id-map fast path at step " << step;
 
-    const LocalSolution oracle = solve_local(cur, params);
-    const LocalSolution& sol = resolver.solution();
-    ASSERT_EQ(sol.x.size(), oracle.x.size());
-    for (std::size_t v = 0; v < oracle.x.size(); ++v) {
-      ASSERT_TRUE(same_bits(sol.x[v], oracle.x[v]))
-          << "step " << step << ", agent " << v;
-    }
-    EXPECT_TRUE(same_bits(sol.omega, oracle.omega)) << "step " << step;
-    EXPECT_TRUE(cur.is_feasible(sol.x, 1e-9));
+    expect_same_solution(resolver.solution(), solve_local(cur, params), step);
+    EXPECT_TRUE(cur.is_feasible(resolver.solution().x, 1e-9));
   }
 }
 
@@ -988,21 +995,25 @@ TEST(LocalResolverSlow, DISABLED_LongScripts) {
 
 // Snapshot-compares every piece of observable solver state against a second
 // solver that never saw the failed apply: instance (full CSR bit compare),
-// solution, and the per-agent WL colours.
+// the t, s, g± and x tables, omega and min t.
 void expect_same_solver_state(const IncrementalSolver& a,
                               const IncrementalSolver& b) {
   expect_same_instance(a.special().instance(), b.special().instance());
   ASSERT_EQ(a.x().size(), b.x().size());
+  ASSERT_EQ(a.t().size(), b.t().size());
   for (std::size_t v = 0; v < a.x().size(); ++v) {
     EXPECT_TRUE(same_bits(a.x()[v], b.x()[v])) << "x, agent " << v;
+    EXPECT_TRUE(same_bits(a.t()[v], b.t()[v])) << "t, agent " << v;
+    EXPECT_TRUE(same_bits(a.s()[v], b.s()[v])) << "s, agent " << v;
+    for (std::int32_t d = 0; d <= a.R() - 2; ++d) {
+      EXPECT_TRUE(same_bits(a.g_plus(d)[v], b.g_plus(d)[v]))
+          << "g+, agent " << v << ", depth " << d;
+      EXPECT_TRUE(same_bits(a.g_minus(d)[v], b.g_minus(d)[v]))
+          << "g-, agent " << v << ", depth " << d;
+    }
   }
-  const auto ca = a.agent_colors_a(), cb = b.agent_colors_a();
-  const auto da = a.agent_colors_b(), db = b.agent_colors_b();
-  ASSERT_EQ(ca.size(), cb.size());
-  for (std::size_t v = 0; v < ca.size(); ++v) {
-    EXPECT_EQ(ca[v], cb[v]) << "colour a, agent " << v;
-    EXPECT_EQ(da[v], db[v]) << "colour b, agent " << v;
-  }
+  EXPECT_TRUE(same_bits(a.omega(), b.omega()));
+  EXPECT_TRUE(same_bits(a.t_min(), b.t_min()));
   // Derived special-form arrays (arc mirrors, capacity bounds).
   for (AgentId v = 0; v < a.special().num_agents(); ++v) {
     EXPECT_TRUE(same_bits(a.special().inv_cap(v), b.special().inv_cap(v)));
@@ -1061,22 +1072,24 @@ TEST(IncrementalSolverTransactional, RejectedDeltasLeaveStateUntouched) {
   MaxMinInstance cur = grid;
   cur.apply(ok);
   inc.apply(ok);
-  const std::vector<double> oracle = solve_special_local_views(cur, inc.R());
-  for (std::size_t v = 0; v < oracle.size(); ++v) {
-    ASSERT_TRUE(same_bits(inc.x()[v], oracle[v])) << "agent " << v;
-  }
+  expect_tables_match_scratch(inc, cur, "after the rejections");
 }
 
 // Deterministic mid-flight abandonment: expire the deadline on its k-th
 // probe for every k until the apply commits.  After every abandonment the
 // solver must be bitwise the pre-apply state (proved against a control that
 // never applied anything); after the final commit it must be bitwise a
-// control that applied the delta once, cleanly.
+// control that applied the delta once, cleanly.  The sweep reaches every
+// probe point: admission, graph patch, one per t re-bisection, smoothing,
+// g recursion and commit.
 void run_deadline_sweep(const MaxMinInstance& base, const InstanceDelta& delta,
                         std::int64_t max_probes) {
   IncrementalSolver control_before(base);
   IncrementalSolver control_after(base);
-  control_after.apply(delta);
+  const Deadline never = Deadline::at_check(max_probes);
+  control_after.apply(delta, &never);
+  const std::int64_t probes = never.ticks();
+  EXPECT_EQ(probes, control_after.last_update().cone_t_recomputed + 5);
 
   IncrementalSolver inc(base);
   bool committed = false;
@@ -1093,7 +1106,7 @@ void run_deadline_sweep(const MaxMinInstance& base, const InstanceDelta& delta,
   }
   ASSERT_TRUE(committed) << "apply never committed within " << max_probes
                          << " probes";
-  EXPECT_GT(aborts, 0) << "at_check(0) should abort at the admission probe";
+  EXPECT_EQ(aborts, probes) << "one abandonment per probe point";
   expect_same_solver_state(inc, control_after);
 }
 
@@ -1166,11 +1179,7 @@ TEST(IncrementalSolver, EpochFastForwardRenumbersAndStaysExact) {
         random_special_delta(inc.special(), rng, /*allow_structural=*/true);
     inc.apply(delta);
     cur.apply(delta);
-    const std::vector<double> oracle = solve_special_local_views(cur, inc.R());
-    for (std::size_t v = 0; v < oracle.size(); ++v) {
-      ASSERT_TRUE(same_bits(inc.x()[v], oracle[v]))
-          << "step " << step << ", agent " << v;
-    }
+    expect_tables_match_scratch(inc, cur, "step " + std::to_string(step));
   }
 }
 

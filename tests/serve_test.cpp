@@ -585,6 +585,56 @@ TEST(SolverService, DeadlineDegradesThenIdleRepairs) {
   }
 }
 
+// utility() answers from the solver's maintained omega in O(1); it must be
+// bitwise what a whole-instance utility() of the committed x computes --
+// after random edit scripts, and across a deadline-abandoned drain and the
+// idle repair that follows it.
+TEST(SolverService, UtilityIsTheMaintainedOmega) {
+  SolverService svc;
+  const MaxMinInstance grid = grid_family(8);
+  ASSERT_TRUE(svc.create_tenant("t", grid).ok());
+  SpecialFormInstance committed(grid);
+  const auto expect_utility = [&](const char* where) {
+    QueryResult q;
+    ASSERT_TRUE(svc.utility("t", &q).ok());
+    const std::vector<double> x = committed_x(svc, "t", grid.num_agents());
+    EXPECT_TRUE(same_bits(q.value, committed.instance().utility(x)))
+        << where << ": " << q.value << " vs "
+        << committed.instance().utility(x);
+  };
+  expect_utility("cold");
+
+  Rng rng(4242);
+  for (int step = 0; step < 12; ++step) {
+    const InstanceDelta d = valid_delta(committed, rng, /*structural=*/true);
+    ASSERT_TRUE(svc.submit("t", d).ok());
+    ASSERT_TRUE(svc.drain("t").ok());
+    committed.apply(d);
+    expect_utility("script");
+  }
+
+  // A deadline-abandoned drain leaves omega at the committed epoch...
+  SolverService tight;
+  TenantOptions opt;
+  opt.limits.apply_budget_us = 1e-3;
+  ASSERT_TRUE(tight.create_tenant("t", committed.instance(), opt).ok());
+  const InstanceDelta d = valid_delta(committed, rng, /*structural=*/true);
+  ASSERT_TRUE(tight.submit("t", d).ok());
+  EXPECT_EQ(tight.drain("t").code, ServeCode::kDeadlineExceeded);
+  QueryResult q;
+  ASSERT_TRUE(tight.utility("t", &q).ok());
+  EXPECT_TRUE(q.stale);
+  std::vector<double> x = committed_x(tight, "t", grid.num_agents());
+  EXPECT_TRUE(same_bits(q.value, committed.instance().utility(x)));
+  // ...and the idle repair moves it to the edited instance's utility.
+  EXPECT_EQ(tight.repair_idle(), 1);
+  committed.apply(d);
+  ASSERT_TRUE(tight.utility("t", &q).ok());
+  EXPECT_FALSE(q.stale);
+  x = committed_x(tight, "t", grid.num_agents());
+  EXPECT_TRUE(same_bits(q.value, committed.instance().utility(x)));
+}
+
 // ---------------------------------------------------------------------------
 // Chaos: concurrent multi-tenant streams vs scratch oracles
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 // must be exactly sufficient (CHECK-guarded frontier).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/local_solver.hpp"
 #include "core/view_solver.hpp"
 #include "gen/generators.hpp"
@@ -17,7 +19,8 @@ void expect_engines_agree(const MaxMinInstance& special, std::int32_t R) {
   const std::vector<double> l = solve_special_local_views(special, R);
   ASSERT_EQ(c.x.size(), l.size());
   for (std::size_t v = 0; v < l.size(); ++v) {
-    EXPECT_NEAR(c.x[v], l[v], 1e-12) << "agent " << v << " R=" << R;
+    EXPECT_EQ(std::memcmp(&c.x[v], &l[v], sizeof(double)), 0)
+        << "agent " << v << " R=" << R << ": " << c.x[v] << " vs " << l[v];
   }
 }
 

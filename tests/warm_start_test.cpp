@@ -1,37 +1,28 @@
-// Tests for the fat-view fast path: TValueStore semantics and budget
-// accounting (core/dp_snapshot.hpp), the delta-aware DP warm start of
-// IncrementalSolver (persisted t-tables, cone invalidation on coefficient
-// AND structural deltas), the SoA sweep counters, and the pooled
-// evaluation arenas' allocation-churn proof.
-//
-// The headline contract, asserted on randomized edit scripts over the
-// fat-view generators (paired torus and circulant at R = 3; R = 4 in the
-// *Slow fixtures): a warm-started solver, a warm-start-disabled solver and
-// a from-scratch solve_special_local_views agree BIT-for-bit after every
-// step.  Warm start is pure acceleration -- t is position-independent
-// (PAPER §5, Example 2) and the bisection deterministic, so serving a
-// stored t reproduces the exact bits the skipped search would have
-// produced, provided the edit's dependency cone was invalidated.
+// Tests for the fat-view regime of the incremental engine: randomized edit
+// scripts on the fat-view generators (paired torus and circulant at
+// R = 3 and 4, coefficient and structural edits) where every apply()
+// re-bisects only the edit's t cone and re-derives s, g± and x on the
+// radius-D(R) ball -- and the kept tables must stay BIT-identical to a
+// scratch engine-C solve after every step.  Warm-starting from the kept t
+// table is pure acceleration: t is position-independent (PAPER §5,
+// Example 2) and the bisection deterministic, so every t outside the cone
+// already holds the exact bits a re-bisection would produce.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <memory>
+#include <algorithm>
 #include <vector>
 
-#include "core/dp_snapshot.hpp"
-#include "core/view_class_cache.hpp"
 #include "core/view_solver.hpp"
 #include "dynamic/incremental_solver.hpp"
 #include "gen/generators.hpp"
 #include "lp/delta.hpp"
+#include "scratch_oracle.hpp"
 #include "support/prng.hpp"
 
 namespace locmm {
 namespace {
 
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
+using testing::expect_tables_match_scratch;
 
 // One random special-form-preserving delta: a coefficient bump, or (with
 // probability ~1/3) the always-legal structural refresh (remove-then-re-add
@@ -57,169 +48,73 @@ InstanceDelta random_delta(const SpecialFormInstance& sf, Rng& rng,
   return delta;
 }
 
-// The headline harness: warm solver vs warm-start-disabled solver vs
-// scratch oracle, bitwise, after the cold solve and after every step.
-void run_warm_script(const MaxMinInstance& special, std::int32_t R,
-                     std::uint64_t seed, int steps, bool allow_structural) {
+// The headline harness: incremental tables vs scratch engine C, bitwise,
+// after the cold solve and after every step.  Returns the largest ball an
+// edit rewrote.
+std::int64_t run_fat_view_script(const MaxMinInstance& special,
+                                 std::int32_t R, std::uint64_t seed, int steps,
+                                 bool allow_structural) {
   Rng rng(seed);
-  IncrementalSolver::Options wopt;
-  wopt.R = R;
-  wopt.warm_start = true;
-  IncrementalSolver warm(special, wopt);
-  IncrementalSolver::Options copt;
-  copt.R = R;
-  copt.warm_start = false;
-  IncrementalSolver cold(special, copt);
+  IncrementalSolver::Options opt;
+  opt.R = R;
+  IncrementalSolver inc(special, opt);
   MaxMinInstance cur = special;
+  expect_tables_match_scratch(inc, cur, "cold");
 
-  ASSERT_NE(warm.snapshot_store(), nullptr);
-  ASSERT_TRUE(warm.snapshot_store()->enabled());
-  EXPECT_GT(warm.snapshot_store()->entries(), 0)
-      << "the cold solve must populate the snapshot";
-  EXPECT_EQ(cold.snapshot_store(), nullptr);
-
-  {
-    const std::vector<double> oracle = solve_special_local_views(cur, R);
-    for (std::size_t v = 0; v < oracle.size(); ++v) {
-      ASSERT_TRUE(same_bits(warm.x()[v], oracle[v])) << "cold, agent " << v;
-    }
-  }
-
-  std::int64_t total_reused = 0;
+  std::int64_t largest_ball = 0;
   for (int step = 0; step < steps; ++step) {
     const InstanceDelta delta =
-        random_delta(warm.special(), rng, allow_structural);
-    warm.apply(delta);
-    cold.apply(delta);
+        random_delta(inc.special(), rng, allow_structural);
+    inc.apply(delta);
     cur.apply(delta);
+    expect_tables_match_scratch(inc, cur, "step " + std::to_string(step));
 
-    const std::vector<double> oracle = solve_special_local_views(cur, R);
-    ASSERT_EQ(warm.x().size(), oracle.size());
-    for (std::size_t v = 0; v < oracle.size(); ++v) {
-      ASSERT_TRUE(same_bits(warm.x()[v], oracle[v]))
-          << "warm, step " << step << ", agent " << v << ": " << warm.x()[v]
-          << " vs " << oracle[v];
-      ASSERT_TRUE(same_bits(cold.x()[v], oracle[v]))
-          << "cold, step " << step << ", agent " << v;
-    }
-
-    const auto& wu = warm.last_update();
-    const auto& cu = cold.last_update();
-    // The existing incremental invariant holds on both paths...
-    EXPECT_EQ(wu.class_cache_hits + wu.evals, wu.classes_invalidated);
-    EXPECT_EQ(cu.class_cache_hits + cu.evals, cu.classes_invalidated);
-    // ...and the warm counters flow only where the store is live.
-    EXPECT_EQ(cu.warm_t_reused, 0);
-    EXPECT_EQ(cu.cone_t_recomputed, 0);
-    EXPECT_EQ(cu.cone_invalidated, 0);
-    if (wu.evals > 0) EXPECT_GT(wu.cone_invalidated, 0);
-    total_reused += wu.warm_t_reused;
+    const auto& u = inc.last_update();
+    EXPECT_GT(u.cone_t_recomputed, 0);
+    EXPECT_EQ(u.warm_t_reused + u.cone_t_recomputed, u.agents_dirty);
+    EXPECT_EQ(u.evals, u.agents_dirty);
+    EXPECT_EQ(u.class_cache_hits, 0);
+    EXPECT_EQ(u.refine_us, 0.0);
+    largest_ball = std::max(largest_ball, u.agents_dirty);
   }
-  // Fat views re-derive overlapping t-sets across dirty classes (and across
-  // steps), so a multi-step script must have served SOMETHING warm.
-  EXPECT_GT(total_reused, 0);
+  return largest_ball;
 }
-
-// ---------------------------------------------------------------------------
-// TValueStore
-// ---------------------------------------------------------------------------
-
-TEST(TValueStore, PublishLookupInvalidateRoundTrip) {
-  auto budget = std::make_shared<SnapshotBudget>(1 << 20);
-  TValueStore store(8, budget);
-  ASSERT_TRUE(store.enabled());
-  EXPECT_EQ(store.entries(), 0);
-  EXPECT_EQ(budget->bytes.load(), store.bytes());
-
-  double t = -1.0;
-  EXPECT_FALSE(store.lookup(3, &t));
-  store.publish(3, 0.625);
-  EXPECT_EQ(store.entries(), 1);
-  ASSERT_TRUE(store.lookup(3, &t));
-  EXPECT_TRUE(same_bits(t, 0.625));
-
-  // Re-publish is idempotent on the entry count; invalidate drops it.
-  store.publish(3, 0.625);
-  EXPECT_EQ(store.entries(), 1);
-  store.invalidate(3);
-  EXPECT_EQ(store.entries(), 0);
-  EXPECT_FALSE(store.lookup(3, &t));
-  store.invalidate(3);  // idempotent
-  EXPECT_EQ(store.entries(), 0);
-
-  // Out-of-range traffic is ignored, never UB.
-  store.publish(-1, 1.0);
-  store.publish(8, 1.0);
-  EXPECT_FALSE(store.lookup(-1, &t));
-  EXPECT_FALSE(store.lookup(8, &t));
-
-  store.publish(0, 2.0);
-  store.publish(7, 3.0);
-  store.invalidate_all();
-  EXPECT_EQ(store.entries(), 0);
-}
-
-TEST(TValueStore, BudgetIsAHardCap) {
-  auto budget = std::make_shared<SnapshotBudget>(100);
-  // 16 bytes per origin: 4 origins fit, 100 do not.
-  TValueStore small(4, budget);
-  EXPECT_TRUE(small.enabled());
-  const std::int64_t reserved = budget->bytes.load();
-  EXPECT_GT(reserved, 0);
-  EXPECT_LE(reserved, 100);
-
-  {
-    TValueStore big(100, budget);
-    EXPECT_FALSE(big.enabled()) << "overshoot must disable, not truncate";
-    EXPECT_EQ(budget->drops.load(), 1);
-    EXPECT_EQ(budget->bytes.load(), reserved) << "no partial reservation";
-    // A disabled store is inert but safe.
-    double t;
-    big.publish(0, 1.0);
-    EXPECT_FALSE(big.lookup(0, &t));
-    EXPECT_EQ(big.entries(), 0);
-  }
-  EXPECT_EQ(budget->bytes.load(), reserved);
-}
-
-TEST(TValueStore, DestructionReturnsBudget) {
-  auto budget = std::make_shared<SnapshotBudget>(1 << 20);
-  {
-    TValueStore store(64, budget);
-    EXPECT_EQ(budget->bytes.load(), store.bytes());
-  }
-  EXPECT_EQ(budget->bytes.load(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Warm-started incremental scripts: bitwise vs cold vs scratch
-// ---------------------------------------------------------------------------
 
 TEST(WarmStart, PairedTorusScriptsBitIdentical) {
   const MaxMinInstance grid =
       special_grid_instance({.rows = 4, .cols = 24}, 2);
-  run_warm_script(grid, 3, 1301, 5, /*allow_structural=*/true);
+  run_fat_view_script(grid, 3, 1301, 5, /*allow_structural=*/true);
+  const MaxMinInstance wide =
+      special_grid_instance({.rows = 4, .cols = 40}, 2);
+  EXPECT_LT(run_fat_view_script(wide, 4, 1302, 3, /*allow_structural=*/true),
+            wide.num_agents())
+      << "the ball must stay local";
 }
 
 TEST(WarmStart, CirculantScriptsBitIdentical) {
   const MaxMinInstance circ = circulant_special_instance(
       {.num_objectives = 24, .delta_k = 3, .stride = 7}, 1);
-  run_warm_script(circ, 3, 1402, 5, /*allow_structural=*/true);
+  run_fat_view_script(circ, 3, 1402, 5, /*allow_structural=*/true);
+  const MaxMinInstance wide = circulant_special_instance(
+      {.num_objectives = 400, .delta_k = 3, .stride = 7}, 1);
+  EXPECT_LT(run_fat_view_script(wide, 4, 1403, 3, /*allow_structural=*/true),
+            wide.num_agents())
+      << "the ball must stay local";
 }
 
-// Long fat-view scripts at R = 4 (D = 29, t-cone radius 11): the regime the
-// fast path exists for.  Behind the `slow` ctest label.
+// Long fat-view scripts at R = 4 (D = 29, t-cone radius 11), behind the
+// `slow` ctest label.
 TEST(WarmStartSlow, DISABLED_LongFatViewScripts) {
   const MaxMinInstance grid =
-      special_grid_instance({.rows = 4, .cols = 32}, 2);
-  run_warm_script(grid, 4, 2301, 4, /*allow_structural=*/true);
+      special_grid_instance({.rows = 4, .cols = 48}, 2);
+  run_fat_view_script(grid, 4, 2301, 40, /*allow_structural=*/true);
   const MaxMinInstance circ = circulant_special_instance(
-      {.num_objectives = 32, .delta_k = 3, .stride = 7}, 1);
-  run_warm_script(circ, 4, 2402, 4, /*allow_structural=*/true);
+      {.num_objectives = 64, .delta_k = 3, .stride = 7}, 1);
+  run_fat_view_script(circ, 4, 2402, 40, /*allow_structural=*/true);
 }
 
 // ---------------------------------------------------------------------------
-// Cone invalidation on structural deltas
+// The t cone on structural deltas
 // ---------------------------------------------------------------------------
 
 TEST(WarmStart, StructuralDeltaInvalidatesTheCone) {
@@ -227,123 +122,39 @@ TEST(WarmStart, StructuralDeltaInvalidatesTheCone) {
       special_grid_instance({.rows = 4, .cols = 32}, 3);
   IncrementalSolver::Options opt;
   opt.R = 3;
-  IncrementalSolver inc(grid, opt);
-  ASSERT_NE(inc.snapshot_store(), nullptr);
-  const std::int64_t cold_entries = inc.snapshot_store()->entries();
-  EXPECT_GT(cold_entries, 0);
 
-  // A membership refresh: structural (remove + re-add), so the cone is
-  // flooded on the pre- AND post-edit graphs.
-  const SpecialFormInstance& sf = inc.special();
-  const ConstraintId i0 = sf.arcs(5)[0].id;
+  // The same spot edited twice: once by a coefficient bump (one flood, on
+  // the unchanged topology), once by a membership refresh (structural:
+  // flooded on the pre- AND post-edit graphs).
+  IncrementalSolver coeff(grid, opt);
+  const ConstraintId i0 = coeff.special().arcs(5)[0].id;
+  InstanceDelta bump;
+  bump.set_constraint_coeff(i0, 5, 1.375);
+  coeff.apply(bump);
+
+  IncrementalSolver inc(grid, opt);
   InstanceDelta delta;
   delta.remove_from_constraint(i0, 5);
   delta.add_to_constraint(i0, 5, 1.375);
   inc.apply(delta);
 
   const auto& u = inc.last_update();
-  EXPECT_GT(u.cone_invalidated, 0);
-  EXPECT_GT(u.cone_t_recomputed, 0)
-      << "cone origins must re-bisect, not serve stale values";
-  EXPECT_LT(u.cone_invalidated, grid.num_agents())
+  EXPECT_GE(u.cone_t_recomputed, coeff.last_update().cone_t_recomputed)
+      << "the structural cone covers both graphs";
+  EXPECT_LT(u.cone_t_recomputed, grid.num_agents())
       << "the 4r+3 cone must stay local on a torus this long";
 
   // Bitwise against scratch, the whole point.
   MaxMinInstance cur = grid;
   cur.apply(delta);
-  const std::vector<double> oracle = solve_special_local_views(cur, 3);
-  for (std::size_t v = 0; v < oracle.size(); ++v) {
-    ASSERT_TRUE(same_bits(inc.x()[v], oracle[v])) << "agent " << v;
-  }
+  expect_tables_match_scratch(inc, cur, "structural");
+  MaxMinInstance bumped = grid;
+  bumped.apply(bump);
+  expect_tables_match_scratch(coeff, bumped, "coefficient");
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot byte budget through ViewClassCache
-// ---------------------------------------------------------------------------
-
-TEST(WarmStart, SnapshotBudgetRefusalKeepsOutputsBitwise) {
-  // A cache whose snapshot budget cannot hold the store: the solver runs
-  // with warm start nominally on, the mint is refused (drops == 1), every
-  // solve goes cold -- and outputs are bitwise unchanged.
-  ViewClassCache::Config cfg;
-  cfg.snapshot_byte_budget = 8;  // < 16 bytes/agent * anything
-  ViewClassCache cache(cfg);
-  const MaxMinInstance grid =
-      special_grid_instance({.rows = 4, .cols = 16}, 2);
-  IncrementalSolver::Options opt;
-  opt.R = 3;
-  opt.cache = &cache;
-  IncrementalSolver inc(grid, opt);
-
-  ASSERT_NE(inc.snapshot_store(), nullptr);
-  EXPECT_FALSE(inc.snapshot_store()->enabled());
-  EXPECT_EQ(cache.snapshot_drops(), 1);
-  EXPECT_LE(cache.snapshot_bytes(), cfg.snapshot_byte_budget);
-
-  Rng rng(77);
-  MaxMinInstance cur = grid;
-  for (int step = 0; step < 3; ++step) {
-    const InstanceDelta delta = random_delta(inc.special(), rng, true);
-    inc.apply(delta);
-    cur.apply(delta);
-    EXPECT_EQ(inc.last_update().warm_t_reused, 0);
-    EXPECT_EQ(inc.last_update().cone_t_recomputed, 0);
-    const std::vector<double> oracle = solve_special_local_views(cur, 3);
-    for (std::size_t v = 0; v < oracle.size(); ++v) {
-      ASSERT_TRUE(same_bits(inc.x()[v], oracle[v]))
-          << "step " << step << ", agent " << v;
-    }
-  }
-}
-
-TEST(WarmStart, CacheAccountsLiveStores) {
-  ViewClassCache cache;
-  EXPECT_EQ(cache.snapshot_bytes(), 0);
-  auto a = cache.new_snapshot_store(100);
-  auto b = cache.new_snapshot_store(50);
-  ASSERT_TRUE(a->enabled());
-  ASSERT_TRUE(b->enabled());
-  EXPECT_EQ(cache.snapshot_bytes(), a->bytes() + b->bytes());
-  a.reset();
-  EXPECT_EQ(cache.snapshot_bytes(), b->bytes());
-  b.reset();
-  EXPECT_EQ(cache.snapshot_bytes(), 0);
-  EXPECT_EQ(cache.snapshot_drops(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Pooled evaluation arenas: the allocation-churn proof
-// ---------------------------------------------------------------------------
-
-TEST(WarmStart, ScratchPoolStopsReallocatingInSteadyState) {
-  const MaxMinInstance grid =
-      special_grid_instance({.rows = 4, .cols = 24}, 2);
-  IncrementalSolver::Options opt;
-  opt.R = 3;
-  opt.threads = 1;
-  IncrementalSolver inc(grid, opt);
-  EXPECT_EQ(inc.scratch_arenas(), 1) << "serial evaluation leases one arena";
-
-  // Warm-up: the DP tables grow to the high-water mark of the class shapes
-  // the edit stream surfaces (the first few steps of this seed surface them
-  // all; verified against a longer run)...
-  Rng rng(55);
-  for (int step = 0; step < 5; ++step) {
-    inc.apply(random_delta(inc.special(), rng, /*allow_structural=*/false));
-  }
-  const std::int64_t settled = inc.scratch_reallocations();
-
-  // ...after which a steady-state edit stream must not allocate AT ALL.
-  for (int step = 0; step < 5; ++step) {
-    inc.apply(random_delta(inc.special(), rng, /*allow_structural=*/false));
-  }
-  EXPECT_EQ(inc.scratch_reallocations(), settled)
-      << "steady-state applies must reuse the pooled DP tables";
-  EXPECT_EQ(inc.scratch_arenas(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// Counters: TSearchStats plumbing and the SoA sweep accounting
+// Counters: TSearchStats plumbing
 // ---------------------------------------------------------------------------
 
 TEST(WarmStart, CountersFlowIntoTSearchStats) {
@@ -357,23 +168,30 @@ TEST(WarmStart, CountersFlowIntoTSearchStats) {
 
   stats.reset();
   Rng rng(99);
-  std::int64_t reused = 0, recomputed = 0;
+  std::int64_t dirty = 0, reused = 0, recomputed = 0;
   for (int step = 0; step < 3; ++step) {
     inc.apply(random_delta(inc.special(), rng, /*allow_structural=*/true));
-    reused += inc.last_update().warm_t_reused;
+    dirty += inc.last_update().agents_dirty;
+    reused += inc.last_update().agents_reused;
     recomputed += inc.last_update().cone_t_recomputed;
   }
-  EXPECT_EQ(stats.warm_entries_reused.load(), reused);
-  EXPECT_EQ(stats.cone_entries_recomputed.load(), recomputed);
-  EXPECT_GT(reused, 0);
+  EXPECT_EQ(stats.agents_dirty.load(), dirty);
+  EXPECT_EQ(stats.agents_reused.load(), reused);
+  EXPECT_EQ(stats.t_searches.load(), recomputed)
+      << "one bisection per cone agent, none elsewhere";
+  EXPECT_EQ(stats.g_evals.load(), 2 * dirty * (opt.R - 1));
   EXPECT_GT(recomputed, 0);
 
-  // The SoA sweeps: randomized coefficients give the batched bisections
-  // distinct probe omegas, so multi-lane fills must have happened -- and
-  // omega_sweeps keeps its per-distinct-omega meaning, so it dominates the
-  // chunk count.
-  EXPECT_GT(stats.vector_sweeps.load(), 0);
-  EXPECT_GT(stats.omega_sweeps.load(), stats.vector_sweeps.load());
+  // Engine L's SoA sweeps on the same torus: randomized coefficients give
+  // the batched bisections distinct probe omegas, so multi-lane fills must
+  // have happened -- and omega_sweeps keeps its per-distinct-omega meaning,
+  // so it dominates the chunk count.
+  TSearchStats l_stats;
+  TSearchOptions l_opt;
+  l_opt.stats = &l_stats;
+  solve_special_local_views(inc.special().instance(), opt.R, l_opt);
+  EXPECT_GT(l_stats.vector_sweeps.load(), 0);
+  EXPECT_GT(l_stats.omega_sweeps.load(), l_stats.vector_sweeps.load());
 }
 
 }  // namespace
