@@ -24,8 +24,9 @@ int main() {
                  Table::cell(bench::certified_optimum(cur), 5)});
     };
     emit("input", inst);
-    const Pipeline p = to_special_form(inst);
-    for (const TransformStep& step : p.steps) emit(step.name, step.instance);
+    for (const TransformStep& step : pipeline_steps(inst)) {
+      emit(step.name, step.instance);
+    }
     table.note("§4.3 is the only stage allowed to change the optimum "
                "(upwards); all others preserve it exactly");
     table.print();
@@ -49,7 +50,7 @@ int main() {
       const Pipeline p = to_special_form(f.inst);
       std::vector<std::string> row{Table::cell(f.name),
                                    Table::cell(bench::certified_optimum(f.inst), 5)};
-      for (const TransformStep& step : p.steps)
+      for (const TransformStep& step : pipeline_steps(f.inst))
         row.push_back(Table::cell(bench::certified_optimum(step.instance), 5));
       row.push_back(Table::cell(p.ratio_factor, 2));
       table.row(std::move(row));

@@ -2,7 +2,6 @@
 # Runs the perf-trajectory benchmarks and emits BENCH_*.json at the repo
 # root so successive PRs can track the numbers:
 #   BENCH_dp_engine.json    per-agent DP engine vs the naive oracle
-#   BENCH_view_cache.json   class-collapsed vs per-agent whole-instance solves
 #   BENCH_engines.json      engine ablation C/L/M/S (time, rounds, messages,
 #                           bytes, max message size -- byte columns are
 #                           measured off the real wire codec since PR 10,
@@ -23,8 +22,8 @@
 #                           + deadline pressure) priced against clean serving
 #
 # Usage: bench/run_bench.sh [build-dir] [--smoke]
-#   --smoke runs bench_view_cache, bench_dynamics and bench_faults on
-#   CI-sized instances (seconds instead of minutes); bench_dp_engine and
+#   --smoke runs bench_dynamics, bench_faults and bench_serve on CI-sized
+#   instances (seconds instead of minutes); bench_dp_engine and
 #   bench_engines have single sizes that already fit CI, so they run
 #   identically in both modes.
 #
@@ -57,16 +56,15 @@ for arg in "$@"; do
   esac
 done
 
-if [ ! -x "$BUILD_DIR/bench_dp_engine" ] || [ ! -x "$BUILD_DIR/bench_view_cache" ] \
-    || [ ! -x "$BUILD_DIR/bench_engines" ] || [ ! -x "$BUILD_DIR/bench_dynamics" ] \
-    || [ ! -x "$BUILD_DIR/bench_faults" ] || [ ! -x "$BUILD_DIR/bench_serve" ]; then
+if [ ! -x "$BUILD_DIR/bench_dp_engine" ] || [ ! -x "$BUILD_DIR/bench_engines" ] \
+    || [ ! -x "$BUILD_DIR/bench_dynamics" ] || [ ! -x "$BUILD_DIR/bench_faults" ] \
+    || [ ! -x "$BUILD_DIR/bench_serve" ]; then
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target bench_dp_engine bench_view_cache \
-    bench_engines bench_dynamics bench_faults bench_serve
+  cmake --build "$BUILD_DIR" -j --target bench_dp_engine bench_engines \
+    bench_dynamics bench_faults bench_serve
 fi
 
 "$BUILD_DIR/bench_dp_engine" BENCH_dp_engine.json
-"$BUILD_DIR/bench_view_cache" BENCH_view_cache.json ${SMOKE:+"$SMOKE"}
 "$BUILD_DIR/bench_dynamics" BENCH_dynamics.json ${SMOKE:+"$SMOKE"}
 "$BUILD_DIR/bench_faults" BENCH_faults.json ${SMOKE:+"$SMOKE"}
 "$BUILD_DIR/bench_serve" BENCH_serve.json ${SMOKE:+"$SMOKE"}

@@ -26,7 +26,7 @@ void usage() {
       "  --R k        shifting parameter (default 4; larger = better ratio,\n"
       "               wider local horizon)\n"
       "  --engine c|l engine: c = centralized simulation (default),\n"
-      "               l = per-agent local views (slow, faithful)\n"
+      "               l = each agent on its own local view (same output)\n"
       "  --threads n  worker threads (0 = all cores; default 0)\n"
       "  --safe       also run the safe baseline (factor delta_I)\n"
       "  --exact      also compute the LP optimum (bundled simplex)\n"

@@ -332,7 +332,7 @@ const LocalSolution& LocalResolver::resolve(const InstanceDelta& delta) {
     Pipeline next = to_special_form(inst_);
     const std::optional<InstanceDelta> special_delta =
         diff_instances(pipeline_.special, next.special);
-    pipeline_ = std::move(next);  // back-maps capture coefficients: swap
+    pipeline_ = std::move(next);  // the id map now describes the edit
 
     if (special_delta.has_value()) {
       last_was_delta_ = true;

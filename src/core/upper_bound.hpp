@@ -37,8 +37,6 @@
 
 namespace locmm {
 
-class ViewClassCache;  // core/view_class_cache.hpp
-
 // Which implementation evaluates the §5 recursions on an explicit local view
 // (engine L, view_solver.hpp).
 enum class ViewEngine : std::uint8_t {
@@ -67,17 +65,6 @@ struct TSearchStats {
   std::atomic<std::int64_t> omega_sweeps{0};  // DP: distinct-omega table fills
   std::atomic<std::int64_t> view_nodes{0};    // sum of evaluated view sizes
 
-  // Canonicalization pipeline counters (solve_special_local_views with
-  // TSearchOptions::canonicalize_views; see core/view_class_cache.hpp).
-  std::atomic<std::int64_t> view_evals{0};    // full view evaluations run
-  std::atomic<std::int64_t> view_classes{0};  // equivalence classes found
-  std::atomic<std::int64_t> class_cache_hits{0};  // classes served from cache
-  std::atomic<std::int64_t> evals_avoided{0};  // agents - evaluations run
-  // Per-stage wall time of the pipeline, microseconds.
-  std::atomic<std::int64_t> refine_us{0};      // WL colour refinement
-  std::atomic<std::int64_t> class_eval_us{0};  // representative build + eval
-  std::atomic<std::int64_t> broadcast_us{0};   // x_v fan-out to class members
-
   // Incremental re-solve counters (src/dynamic/incremental_solver.hpp).
   // Per update: agents whose radius-D(R) neighbourhood may have changed
   // (the dirty ball), and agents whose stored output was reused untouched.
@@ -97,13 +84,6 @@ struct TSearchStats {
     t_checks = 0;
     omega_sweeps = 0;
     view_nodes = 0;
-    view_evals = 0;
-    view_classes = 0;
-    class_cache_hits = 0;
-    evals_avoided = 0;
-    refine_us = 0;
-    class_eval_us = 0;
-    broadcast_us = 0;
     agents_dirty = 0;
     agents_reused = 0;
     vector_sweeps = 0;
@@ -125,17 +105,6 @@ struct TSearchOptions {
   bool exact_lp = false;
   // Engine-L implementation selector (ignored by engine C).
   ViewEngine engine = ViewEngine::kMemoizedDp;
-  // Whole-instance engine-L solves (solve_special_local_views) group agents
-  // into view-equivalence classes via WL colour refinement and evaluate one
-  // representative per class (identical views provably produce identical
-  // outputs in the port-numbering model, PAPER §3 Remarks 4-5).  Disable to
-  // force the PR-1 one-evaluation-per-agent path (the differential baseline).
-  bool canonicalize_views = true;
-  // Optional cross-solve class cache (core/view_class_cache.hpp); not owned.
-  // When set, representative evaluations are looked up / inserted under
-  // (canonical hash, R, options fingerprint), so repeated solves over
-  // instances sharing view classes skip the evaluation entirely.
-  ViewClassCache* view_cache = nullptr;
   // Optional operation-count instrumentation; not owned.  Thread-safe.
   TSearchStats* stats = nullptr;
 };

@@ -1,16 +1,12 @@
 #include "core/view_solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
 #include <unordered_map>
 #include <utility>
 
-#include "core/view_class_cache.hpp"
-#include "graph/color_refine.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timer.hpp"
 
 namespace locmm {
 
@@ -1270,8 +1266,6 @@ double solve_agent_from_view(const ViewTree& view, std::int32_t R,
     x = eval.x_root();
   }
   stats.flush(opt.stats, view.size());
-  if (opt.stats != nullptr)
-    opt.stats->view_evals.fetch_add(1, std::memory_order_relaxed);
   return x;
 }
 
@@ -1290,8 +1284,6 @@ double solve_agent_on_graph(const CommGraph& g, AgentId v, std::int32_t R,
                        opt.stats ? &stats : nullptr);
   const double x = eval.x_root();
   stats.flush(opt.stats, 0);  // no view materialised
-  if (opt.stats != nullptr)
-    opt.stats->view_evals.fetch_add(1, std::memory_order_relaxed);
   return x;
 }
 
@@ -1314,144 +1306,20 @@ double t_root_from_view(const ViewTree& view, std::int32_t r,
   return t;
 }
 
-namespace {
-
-// The evaluate stage of solve_special_local_views: one output per class,
-// each representative evaluated through the optional cross-solve cache
-// (colour-keyed fast path first, canonical-hash entries after the build,
-// then a real evaluation).  Updates opt.stats's class_eval_us and
-// class_cache_hits; `evals` counts the evaluations actually run (<=
-// num_classes; the rest came from the cache).  The result is bitwise
-// independent of `threads`.
-struct ClassEvalResult {
-  std::vector<double> x_class;
-  std::int64_t evals = 0;
-  std::int64_t cache_hits = 0;
-};
-
-ClassEvalResult evaluate_view_classes(const CommGraph& g,
-                                      const ViewClasses& classes,
-                                      std::int32_t R, const TSearchOptions& opt,
-                                      std::size_t threads) {
-  const std::int32_t D = view_radius(R);
-  const auto num_classes = static_cast<std::size_t>(classes.num_classes());
-  ClassEvalResult res;
-  res.x_class.assign(num_classes, 0.0);
-  if (num_classes == 0) return res;
-
-  // Each class writes its own slot, so the schedule cannot affect the
-  // output.  Cache order: colour-keyed first (no view needed at all -- the
-  // warm fast path), then the canonical-hash entries after the build, then
-  // a real evaluation.
-  Timer eval_timer;
-  ViewClassCache* const cache = opt.view_cache;
-  const std::uint64_t fp =
-      cache != nullptr ? ViewClassCache::options_fingerprint(opt) : 0;
-  std::vector<double>& xc = res.x_class;
-  std::atomic<std::int64_t> cache_hits{0};
-  std::atomic<std::int64_t> evals{0};
-  parallel_for(num_classes, threads, [&](std::size_t ci) {
-    std::uint64_t ckey = 0;
-    if (cache != nullptr) {
-      ckey = ViewClassCache::color_key(classes.color_a[ci],
-                                       classes.color_b[ci], classes.rounds,
-                                       R, fp);
-      if (cache->lookup_color(ckey, &xc[ci])) {
-        cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-    // Per-thread arenas: the view buffer and the DP tables persist across
-    // classes (and across calls).
-    thread_local ViewTree view;
-    thread_local ViewEvalScratch scratch;
-    ViewTree::build_into(
-        g, g.agent_node(classes.representative[ci]), D, view);
-    if (cache != nullptr && cache->lookup(view, R, fp, &xc[ci])) {
-      cache_hits.fetch_add(1, std::memory_order_relaxed);
-      cache->insert_color(ckey, xc[ci]);
-      return;
-    }
-    xc[ci] = solve_agent_from_view(view, R, opt, &scratch);
-    evals.fetch_add(1, std::memory_order_relaxed);
-    if (cache != nullptr) {
-      cache->insert(view, R, fp, xc[ci]);
-      cache->insert_color(ckey, xc[ci]);
-    }
-  });
-  res.evals = evals.load();
-  res.cache_hits = cache_hits.load();
-  if (opt.stats != nullptr) {
-    opt.stats->class_eval_us.fetch_add(
-        static_cast<std::int64_t>(eval_timer.micros()),
-        std::memory_order_relaxed);
-    opt.stats->class_cache_hits.fetch_add(res.cache_hits,
-                                          std::memory_order_relaxed);
-  }
-  return res;
-}
-
-}  // namespace
-
 std::vector<double> solve_special_local_views(const MaxMinInstance& special,
                                               std::int32_t R,
                                               const TSearchOptions& opt,
                                               std::size_t threads) {
+  LOCMM_CHECK(R >= 2);
+  LOCMM_CHECK(opt.engine == ViewEngine::kMemoizedDp);
   const CommGraph g(special);
-  const std::int32_t D = view_radius(R);
   std::vector<double> x(static_cast<std::size_t>(special.num_agents()), 0.0);
-  if (x.empty()) return x;
-
-  if (!opt.canonicalize_views) {
-    // PR-1 baseline: one view build + evaluation per agent.
-    parallel_for(x.size(), threads, [&](std::size_t v) {
-      // Per-thread arenas: the view buffer and the DP tables persist across
-      // agents (and across calls), so the per-agent loop stops
-      // re-allocating.
-      thread_local ViewTree view;
-      thread_local ViewEvalScratch scratch;
-      ViewTree::build_into(g, g.agent_node(static_cast<AgentId>(v)), D, view);
-      x[v] = solve_agent_from_view(view, R, opt, &scratch);
-    });
-    return x;
-  }
-
-  // Stage 1 (refine): group agents into view-equivalence classes on the
-  // agent graph, without materialising any view.  Full-depth colours are
-  // only needed when they outlive this solve as cross-instance cache keys
-  // (color_key below); the cache-less default stops the hash sweeps at
-  // partition stabilization, which yields the identical grouping.
-  Timer refine_timer;
-  const ViewClasses classes =
-      refine_view_classes(g, D, /*full_depth=*/opt.view_cache != nullptr);
-  const auto num_classes = static_cast<std::size_t>(classes.num_classes());
-  if (opt.stats != nullptr) {
-    opt.stats->refine_us.fetch_add(
-        static_cast<std::int64_t>(refine_timer.micros()),
-        std::memory_order_relaxed);
-    opt.stats->view_classes.fetch_add(
-        static_cast<std::int64_t>(num_classes), std::memory_order_relaxed);
-  }
-
-  // Stage 2 (evaluate): build + evaluate one representative per class,
-  // through the cross-solve cache when one is supplied.
-  const ClassEvalResult ev = evaluate_view_classes(g, classes, R, opt, threads);
-  if (opt.stats != nullptr) {
-    opt.stats->evals_avoided.fetch_add(
-        static_cast<std::int64_t>(x.size()) - ev.evals,
-        std::memory_order_relaxed);
-  }
-
-  // Stage 3 (broadcast): fan each class value out to its members.
-  Timer broadcast_timer;
-  for (std::size_t v = 0; v < x.size(); ++v) {
-    x[v] = ev.x_class[static_cast<std::size_t>(classes.class_of[v])];
-  }
-  if (opt.stats != nullptr) {
-    opt.stats->broadcast_us.fetch_add(
-        static_cast<std::int64_t>(broadcast_timer.micros()),
-        std::memory_order_relaxed);
-  }
+  // Each agent writes its own slot, so the schedule cannot affect the
+  // output.  The DP tables persist per thread across agents (and calls).
+  parallel_for(x.size(), threads, [&](std::size_t v) {
+    thread_local ViewEvalScratch scratch;
+    x[v] = solve_agent_on_graph(g, static_cast<AgentId>(v), R, opt, &scratch);
+  });
   return x;
 }
 

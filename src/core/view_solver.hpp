@@ -1,11 +1,14 @@
 // view_solver.hpp -- engine L: the definitional local algorithm.
 //
-// Every agent builds its radius-D local view (the truncated unfolding of §3)
-// and computes its output x_v from that view *alone*, exactly as a node of
-// the distributed system would after D communication rounds (§4.1: gather
-// the local view, then simulate).  Two interchangeable implementations of
-// the recursions (5)-(7) and (12)-(14) live here, selected by
-// TSearchOptions::engine:
+// Every agent computes its output x_v from its radius-D local view (the
+// truncated unfolding of §3) *alone*, exactly as a node of the distributed
+// system would after D communication rounds (§4.1: gather the local view,
+// then simulate).  The view is materialised only where the model puts it on
+// the wire (engine M, dist/gather.hpp) and for the kNaive oracle; whole-
+// instance solves read the same neighbourhood straight off the
+// communication graph (solve_agent_on_graph), bitwise equal.  Two
+// interchangeable implementations of the recursions (5)-(7) and (12)-(14)
+// live here, selected by TSearchOptions::engine:
 //
 //   * ViewEngine::kMemoizedDp (default) -- an iterative, memoized, bottom-up
 //     dynamic program over the *shared structure* of the view tree.  Every
@@ -27,8 +30,9 @@
 //     s-ball; tests assert the DP engine matches it, and engine C
 //     (local_solver.hpp), bitwise.
 //
-// Both implementations never consult the global graph during evaluation,
-// which makes engine L the faithfulness reference for the other engines.
+// On an explicit view, neither implementation consults the global graph
+// during evaluation, which makes engine L the faithfulness reference for
+// the other engines.
 //
 // The view radius is
 //     D(R) = 12 r + 5,   r = R - 2:
@@ -44,7 +48,7 @@
 #include <vector>
 
 #include "core/upper_bound.hpp"
-#include "graph/color_refine.hpp"
+#include "graph/comm_graph.hpp"
 #include "graph/view_tree.hpp"
 
 namespace locmm {
@@ -99,28 +103,13 @@ double t_root_from_view(const ViewTree& view, std::int32_t r,
                         const TSearchOptions& opt = {},
                         ViewEvalScratch* scratch = nullptr);
 
-// Runs engine L for every agent of a special-form instance.  With
-// opt.canonicalize_views (the default) this is a three-stage pipeline whose
-// cost scales with the number of *distinct view-equivalence classes*, not
-// the number of agents:
-//
-//   refine     WL colour refinement on the communication graph
-//              (graph/color_refine.hpp) groups agents whose radius-D views
-//              coincide, without materialising any view;
-//   evaluate   one representative per class builds its view (per-thread
-//              arena) and evaluates it -- consulting opt.view_cache, when
-//              set: colour-keyed hits skip even the representative's view
-//              build, so warm solves cost refine + broadcast only;
-//   broadcast  x_v is fanned out to every member of each class (identical
-//              views provably produce identical outputs, PAPER §3
-//              Remarks 4-5; the property tests assert bit-for-bit equality
-//              with the uncanonicalized path).
-//
-// Stage timings and class/cache counters land in TSearchOptions::stats.
-// With canonicalize_views = false every agent builds and evaluates its own
-// view (the PR-1 baseline; one evaluation per agent).  threads: 1 = serial,
-// 0 = all hardware threads.  Either way the result is bitwise independent
-// of `threads`.
+// Runs engine L for every agent of a special-form instance:
+// solve_agent_on_graph per agent, in parallel.  Each output depends on its
+// own agent's radius-view_radius(R) neighbourhood alone, so no view is built
+// and no work is shared between agents.  kMemoizedDp only (CHECK-enforced);
+// the kNaive oracle runs per agent on explicit views
+// (solve_agent_from_view).  threads: 1 = serial, 0 = all hardware threads;
+// the result is bitwise independent of `threads`.
 std::vector<double> solve_special_local_views(const MaxMinInstance& special,
                                               std::int32_t R,
                                               const TSearchOptions& opt = {},

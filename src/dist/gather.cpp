@@ -8,8 +8,8 @@ namespace locmm {
 
 // ===========================================================================
 // ViewAssembler -- splices received subtree blobs into a ViewTree with the
-// exact BFS/port layout ViewTree::build produces, so same_view holds against
-// the direct unfolding.  Friend of ViewTree (declared in view_tree.hpp).
+// exact BFS/port layout ViewTree::build produces, so structurally_equal
+// holds against the direct unfolding.  Friend of ViewTree (declared in view_tree.hpp).
 //
 // Origins are synthetic (every view node is its own origin, and its own
 // representative): no global identifiers exist on this side of the message

@@ -11,7 +11,7 @@
 // straight back to w).  After D rounds the inboxes hold exactly the depth-
 // (D-1) subtrees below each of the node's own edges; splicing them under the
 // node's own local input reproduces the radius-D view, bit for bit equal to
-// ViewTree::build's direct unfolding (ViewTree::same_view, tested).
+// ViewTree::build's direct unfolding (ViewTree::structurally_equal, tested).
 //
 // The assembled ViewTree carries *synthetic* origins (each view node is its
 // own origin): a message-passing node has no global identifiers, so the

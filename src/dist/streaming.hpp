@@ -24,7 +24,8 @@
 //                           reply every agent emits the output (18).
 //
 // Every reduction runs in the same port order as engines C/L, so the outputs
-// are bit-identical, not merely close (the tests compare at 1e-12).  Total:
+// are bit-identical, not merely close (tests/cross_engine_test.cpp compares
+// bitwise).  Total:
 //
 //   streaming_rounds(R) = (4r+3) + (4r+2) + (4r+2) = 12r+7
 //                       = view_radius(R) + 2,

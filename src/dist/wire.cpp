@@ -260,7 +260,6 @@ class WireCodec {
     out.child_index_.clear();
     out.depth_ = depth;
     out.truncated_ = false;
-    out.hashes_valid_ = false;
 
     // BFS reconstruction: children of node i are the next num_children
     // unclaimed nodes, in storage order.  `next` is the running claim

@@ -72,7 +72,8 @@ namespace locmm {
 
 class ViewClassCache;  // core/view_class_cache.hpp
 
-// Which engine carries the incremental re-solves.
+// Which engine carries the incremental re-solves.  kMemoizedDp names engine
+// C's tables; the name stays because perfbench/src/edit_stream.cpp uses it.
 enum class DynamicEngine {
   kMemoizedDp,      // engine C: the kept t / s / g± / x tables, re-derived
                     // on each edit's t cone and radius-D(R) ball (default)
@@ -93,8 +94,7 @@ class IncrementalSolver {
     // (0 = all hardware threads).  kMemoizedDp's apply() always runs on
     // the calling thread.
     std::size_t threads = 1;
-    // Ignored: the engine-C tables leave no view classes to cache.  Kept
-    // until the benchmark stops setting it.
+    // Ignored; kept because perfbench/src/edit_stream.cpp sets it.
     ViewClassCache* cache = nullptr;
     // Engine carrying the updates (see DynamicEngine).  The distributed
     // engines keep the recorded message history resident (one copy of the
@@ -179,10 +179,10 @@ class IncrementalSolver {
     std::int64_t warm_t_reused = 0;  // ball agents whose kept t stood
     std::int64_t evals = 0;          // x entries recomputed
     std::int64_t sums_rewritten = 0;  // objective row sums recomputed
-    std::int64_t class_cache_hits = 0;  // always 0: no view classes
+    std::int64_t class_cache_hits = 0;  // always 0; perfbench reads it
     double apply_us = 0.0;   // instance + graph patch
     double flood_us = 0.0;   // dirty-ball and t-cone floods
-    double refine_us = 0.0;  // always 0: no colour refinement
+    double refine_us = 0.0;  // always 0; perfbench reads it
     double eval_us = 0.0;    // t re-bisection, then s, g± and x on the ball
     double broadcast_us = 0.0;  // table commit and objective sums
     // Engines M / S: the replay's scheduler accounting.  fresh_* is the

@@ -155,10 +155,9 @@ struct CirculantSpecialParams {
 // exactly two degree-2 constraints and one objective -- the same degree
 // profile as the random configuration model, but circulant.  With unit
 // coefficients all agents look alike up to the wrap-around port order, so
-// the number of distinct radius-D views is O(D), independent of n: the
-// "d-regular" workload where cross-agent view canonicalization collapses a
-// 10k-agent solve to a handful of evaluations (the paper's lower-bound
-// instances [7] are exactly such symmetric regular constructions).
+// the number of distinct radius-D views is O(D), independent of n (the
+// paper's lower-bound instances [7] are exactly such symmetric regular
+// constructions).
 MaxMinInstance circulant_special_instance(const CirculantSpecialParams& p,
                                           std::uint64_t seed);
 

@@ -75,8 +75,8 @@ class CommGraph {
 
   // The port at the neighbour reached via `port` of `node` that leads back
   // to `node` (first match in the neighbour's port order).  Part of every
-  // local view (the child's parent_port), so ViewTree::build and the WL
-  // colour refinement MUST resolve it identically -- both call this.
+  // local view (the child's parent_port), so ViewTree::build and the
+  // message-passing gather MUST resolve it identically -- both call this.
   std::int32_t back_port(NodeId node, std::int32_t port) const;
 
   // For an agent node: ports [0, constraint_degree) are constraints and

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/hash.hpp"
-
 namespace locmm {
 
 ViewTree ViewTree::build(const CommGraph& g, NodeId root, std::int32_t depth,
@@ -109,9 +107,7 @@ void ViewTree::build_impl(const CommGraph& g, NodeId root, std::int32_t depth,
                                       "budget, or use try_build_into");
       }
       const HalfEdge& e = neigh[static_cast<std::size_t>(port)];
-      // Port at the child that leads back here; shared with the WL
-      // refinement so both resolve it identically (a load-bearing
-      // invariant -- see CommGraph::back_port).
+      // Port at the child that leads back here (see CommGraph::back_port).
       const std::int32_t back_port = g.back_port(origin, port);
       const auto child_idx = static_cast<std::int32_t>(t.nodes_.size());
       t.nodes_.push_back(make_node(e.to, idx, back_port, e.coeff, d + 1));
@@ -164,85 +160,15 @@ void ViewTree::rebuild_neighbor_cache() {
       }
     }
   }
-  hashes_valid_ = false;
-}
-
-void ViewTree::recompute_hashes() const {
-  // Bottom-up Merkle fold in one reverse pass: the BFS layout stores every
-  // child after its parent, so iterating indices high-to-low sees all child
-  // hashes before each parent.  Nothing origin-dependent enters the mix.
-  // Two genuinely independent per-node streams: A seeds one constant and
-  // quantizes coefficients (cheap grouping, arbitrated exactly downstream),
-  // B seeds another and folds the *exact* coefficient bits, so the pair
-  // (canonical, secondary) only collides for structurally different views
-  // at the ~2^-128 level -- a wrong fingerprint-only cache merge needs both
-  // streams to collide at once.
-  const std::size_t n = nodes_.size();
-  hash_scratch_a_.resize(n);
-  hash_scratch_b_.resize(n);
-  for (std::size_t i = n; i-- > 0;) {
-    const ViewNode& v = nodes_[i];
-    std::uint64_t ha = 0x9ae16a3b2f90404full;  // stream-A node seed
-    std::uint64_t hb = 0xc3a5c85c97cb3127ull;  // stream-B node seed
-    const auto fold = [&](std::uint64_t x) {
-      ha = hash_combine(ha, x);
-      hb = hash_combine(hb, x);
-    };
-    fold(static_cast<std::uint64_t>(v.type));
-    fold(static_cast<std::uint64_t>(v.degree));
-    fold(static_cast<std::uint64_t>(v.constraint_degree));
-    fold(static_cast<std::uint64_t>(v.parent_port + 1));
-    ha = hash_combine(ha, coeff_bits_quantized(v.parent_coeff));
-    hb = hash_combine(hb, coeff_bits_exact(v.parent_coeff));
-    fold(static_cast<std::uint64_t>(v.num_children));
-    for (std::int32_t c = 0; c < v.num_children; ++c) {
-      const auto child = static_cast<std::size_t>(
-          child_index_[static_cast<std::size_t>(v.first_child + c)]);
-      ha = hash_combine(ha, hash_scratch_a_[child]);
-      hb = hash_combine(hb, hash_scratch_b_[child]);
-    }
-    hash_scratch_a_[i] = ha;
-    hash_scratch_b_[i] = hb;
-  }
-  // The truncation flag is part of the identity, like depth_: a tree cut by
-  // the node budget must never fingerprint-match a complete tree (what lies
-  // beyond the cut is unknown).
-  const std::uint64_t tail = hash_combine(
-      static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(truncated_));
-  canonical_hash_ = hash_combine(
-      hash_combine(n > 0 ? hash_scratch_a_[0] : 0,
-                   static_cast<std::uint64_t>(depth_)),
-      tail);
-  secondary_hash_ = hash_combine(
-      hash_combine(n > 0 ? hash_scratch_b_[0] : 0,
-                   static_cast<std::uint64_t>(depth_)),
-      tail);
-  hashes_valid_ = true;
-}
-
-ViewTree ViewTree::structural_copy() const {
-  ViewTree t;
-  t.nodes_ = nodes_;
-  t.nodes_.shrink_to_fit();
-  t.child_index_ = child_index_;
-  t.child_index_.shrink_to_fit();
-  t.depth_ = depth_;
-  t.truncated_ = truncated_;
-  t.hashes_valid_ = hashes_valid_;
-  t.canonical_hash_ = canonical_hash_;
-  t.secondary_hash_ = secondary_hash_;
-  return t;
 }
 
 bool ViewTree::structurally_equal(const ViewTree& a, const ViewTree& b) {
   // The truncation depth and the budget-truncation flag are part of the
-  // view's identity (the hashes fold both): a deeper request that happens
-  // to exhaust the same finite unfolding still announces a different
-  // horizon, and a budget-cut tree never equals a complete one -- what lies
-  // beyond the cut is unknown, so equality of the surviving arrays proves
-  // nothing.  Two trees truncated at the same budget can still coincide
-  // here while their full views differ, which is why the class cache
-  // refuses truncated views outright (ViewClassCache::lookup/insert).
+  // view's identity: a deeper request that happens to exhaust the same
+  // finite unfolding still announces a different horizon, and a budget-cut
+  // tree never equals a complete one -- what lies beyond the cut is
+  // unknown.  Two trees truncated at the same budget can still coincide
+  // here while their full views differ.
   if (a.size() != b.size() || a.depth() != b.depth() ||
       a.truncated() != b.truncated()) {
     return false;

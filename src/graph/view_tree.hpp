@@ -8,31 +8,19 @@
 // port numbers and coefficients are inherited from the parent graph
 // (Remarks 4-5 of §3).
 //
-// ViewTree materialises this truncation.  Each node records its parent, the
-// port index *at this node* that leads to the parent, the edge coefficient,
-// and its origin (the parent node in G).  The naive oracle engine never
-// branches on origins, which witnesses that the algorithm is definable in
-// the identifier-free port-numbering model; the memoized DP engine uses
-// origins purely as pointers into the unfolding's shared structure (all
-// copies of a G-node carry identical subproblems -- Example 2 of the paper
-// -- so deduplicating by origin provably changes no output, which the
-// differential tests assert).
-//
-// Two distinct notions of identity coexist here and must not be conflated:
-//
-//   * origins identify copies of the SAME G-node inside ONE view.  They are
-//     intra-view pointers into the unfolding's shared structure; they carry
-//     global node ids, so nothing observable by a port-numbering algorithm
-//     may ever branch on their values (engines use them only as dictionary
-//     keys -- see ViewNode::origin).
-//   * canonical_hash() identifies structurally EQUAL views ACROSS agents:
-//     an origin-free, bottom-up Merkle-style fingerprint of exactly the
-//     information content a port-numbering algorithm can observe (types,
-//     degrees, port positions, coefficients).  Two agents whose views share
-//     a canonical hash -- verified exactly via structurally_equal -- are
-//     view-equivalent and provably compute identical outputs (Remarks 4-5),
-//     which is what the cross-agent class cache (core/view_class_cache.hpp)
-//     exploits to evaluate one representative per equivalence class.
+// ViewTree materialises this truncation where the model puts it on the
+// wire: engine M's gather (dist/gather.hpp), the wire codec (dist/wire.hpp)
+// and the kNaive oracle.  Each node records its parent, the port index *at
+// this node* that leads to the parent, the edge coefficient, and its origin
+// (the parent node in G).  The naive oracle engine never branches on
+// origins, which witnesses that the algorithm is definable in the
+// identifier-free port-numbering model; the memoized DP engine uses origins
+// purely as pointers into the unfolding's shared structure (all copies of a
+// G-node carry identical subproblems -- Example 2 of the paper -- so
+// deduplicating by origin provably changes no output, which the
+// differential tests assert).  Origins carry global node ids, so nothing
+// observable by a port-numbering algorithm may ever branch on their values
+// (engines use them only as dictionary keys -- see ViewNode::origin).
 #pragma once
 
 #include <cstdint>
@@ -53,8 +41,7 @@ struct ViewNode {
   // (PR 1) keys its (slot, depth) tables on it: all copies of an origin share
   // one table row.  Engines may use it as an opaque dictionary key only --
   // never branch on its value, which a port-numbering algorithm cannot see
-  // (the naive oracle never reads it at all; see the header preamble for the
-  // origin vs canonical-hash distinction).
+  // (the naive oracle never reads it at all).
   NodeId origin = -1;
   std::int32_t degree = 0;        // full degree in G (part of local input)
   std::int32_t constraint_degree = 0;  // for agents: # constraint ports
@@ -151,61 +138,19 @@ class ViewTree {
     }
   }
 
-  // Recomputes the cached adjacency slices from nodes_/child_index_ and
-  // invalidates the memoized hashes.  Called by build_into(); anything else
-  // that splices nodes directly (the future dist/ ViewAssembler) must call
-  // it before handing the tree to an engine or the class cache.
+  // Recomputes the cached adjacency slices from nodes_/child_index_.
+  // Called by build_into(); anything else that splices nodes directly (the
+  // dist/ ViewAssembler, the wire decoder) must call it before handing the
+  // tree to an engine.
   void rebuild_neighbor_cache();
 
   // Structural equality ignoring origins: same shape, types, port positions
   // and coefficients (compared exactly), plus the depth and truncated()
   // flags (a budget-cut tree never equals a complete one).  This is the
   // "information content" a port-numbering algorithm can observe; the
-  // faithfulness tests compare message-gathered views with directly-built
-  // ones through this, and the class cache uses it as the collision arbiter
-  // for canonical_hash().
+  // faithfulness tests compare message-gathered and decoded views with
+  // directly-built ones through this.
   static bool structurally_equal(const ViewTree& a, const ViewTree& b);
-
-  // Backwards-compatible alias for structurally_equal.
-  static bool same_view(const ViewTree& a, const ViewTree& b) {
-    return structurally_equal(a, b);
-  }
-
-  // Origin-free, bottom-up Merkle-style fingerprint of the view: per node a
-  // hash over (type, degree, constraint_degree, parent port, quantized
-  // parent coefficient, port-ordered child hashes), folded from the leaves
-  // to the root in one reverse pass over the BFS layout (children always
-  // follow their parent, so reverse storage order is a valid bottom-up
-  // topological order).  Computed lazily on first access (one pass,
-  // memoized until the tree changes), so builds that never canonicalize
-  // pay nothing.  structurally_equal views always share a hash; hash-equal
-  // views are *almost always* structurally equal -- collisions (including
-  // deliberate merges from coefficient quantization, see support/hash.hpp)
-  // must be arbitrated with structurally_equal before a result is shared
-  // across agents.
-  std::uint64_t canonical_hash() const {
-    if (!hashes_valid_) recompute_hashes();
-    return canonical_hash_;
-  }
-
-  // A second, genuinely independent per-node Merkle stream: different seed
-  // and *exact* coefficient bits (no quantization), so views whose
-  // coefficients differ by less than the canonical stream's quantum still
-  // separate here.  (canonical_hash, secondary_hash, size) is a 128+ bit
-  // identity used where keeping the whole representative view for exact
-  // arbitration is impractical (ViewClassCache entries above its
-  // verification budget).
-  std::uint64_t secondary_hash() const {
-    if (!hashes_valid_) recompute_hashes();
-    return secondary_hash_;
-  }
-
-  // A copy carrying only what structurally_equal and the hash accessors
-  // need (nodes, child index, depth, memoized hashes) with capacity
-  // trimmed: what ViewClassCache stores per entry.  The adjacency caches
-  // and the origin->representative map are NOT copied -- call
-  // rebuild_neighbor_cache() before handing the copy to an engine.
-  ViewTree structural_copy() const;
 
   // Exact serialized size in bytes: the real codec (dist/wire.hpp
   // encode_view) emits kWireNodeBytes per node and nothing else, and
@@ -248,22 +193,10 @@ class ViewTree {
   std::uint32_t rep_epoch_now_ = 0;
   std::int32_t depth_ = 0;
   bool truncated_ = false;
-  // Memoized fingerprints (see canonical_hash/secondary_hash): computed on
-  // first access, mutable so the const accessors can fill them in.  Not
-  // thread-safe to race; views are per-thread arenas or cache-private
-  // copies, both single-owner by construction.
-  mutable bool hashes_valid_ = false;
-  mutable std::uint64_t canonical_hash_ = 0;
-  mutable std::uint64_t secondary_hash_ = 0;
-  // Per-node subtree hashes of the two streams, scratch for the bottom-up
-  // fold (arena-retained like the other buffers).
-  mutable std::vector<std::uint64_t> hash_scratch_a_;
-  mutable std::vector<std::uint64_t> hash_scratch_b_;
 
   static void build_impl(const CommGraph& g, NodeId root, std::int32_t depth,
                          ViewTree& out, std::int64_t max_nodes,
                          bool allow_truncation);
-  void recompute_hashes() const;
 };
 
 }  // namespace locmm

@@ -34,9 +34,9 @@
 // the end of their row (the new entry takes the last port), and the
 // agent-side incidence keeps its rows sorted ascending -- exactly the port
 // numbering the builder derives from row-insertion order.  That identity is
-// what makes every downstream structure (CommGraph, views, WL colours)
-// agree bitwise with a cold rebuild, and it is asserted by the randomized
-// tests in tests/incremental_test.cpp.
+// what makes every downstream structure (CommGraph, views) agree bitwise
+// with a cold rebuild, and it is asserted by the randomized tests in
+// tests/incremental_test.cpp.
 #pragma once
 
 #include <cstdint>

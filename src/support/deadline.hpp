@@ -2,7 +2,7 @@
 //
 // A Deadline is a cancellation token the serving layer threads through a
 // re-solve: long-running stages call tick()/check() at natural boundaries
-// (per pipeline stage, per view-class evaluation) and abandon the work with
+// (per pipeline stage of an incremental apply) and abandon the work with
 // DeadlineExceeded once the budget is gone.  The exception deliberately does
 // NOT derive from CheckError: running out of time is a normal, contained
 // serving outcome (the caller keeps the last committed state and repairs

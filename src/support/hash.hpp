@@ -1,13 +1,10 @@
-// hash.hpp -- deterministic 64-bit mixing for structural fingerprints.
+// hash.hpp -- deterministic 64-bit mixing for checksums and seeded streams.
 //
-// The canonicalization layer (graph/view_tree.hpp canonical hashes,
-// graph/color_refine.hpp WL colours, core/view_class_cache.hpp keys) needs a
-// fast, seedable, platform-independent hash.  std::hash is none of those
-// (identity on integers under libstdc++, unspecified elsewhere), so we use
-// the splitmix64 finalizer as the mixer.  Nothing here is cryptographic;
-// collisions are arbitrated by exact structural comparison wherever a wrong
-// merge could change results (see ViewClassCache), and 128-bit double
-// hashing bounds the residual risk where full verification is impractical.
+// The wire codec's frame checksums (dist/wire.hpp) and the fault layer's
+// seeded decisions (dist/fault.hpp) need a fast, seedable,
+// platform-independent hash.  std::hash is none of those (identity on
+// integers under libstdc++, unspecified elsewhere), so we use the splitmix64
+// finalizer as the mixer.  Nothing here is cryptographic.
 #pragma once
 
 #include <bit>
@@ -30,33 +27,12 @@ inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
                        (seed >> 2)));
 }
 
-// Exact bit pattern of a coefficient, with -0.0 folded into +0.0 so that
-// arithmetically equal edges always hash equal.  Used where a hash merge is
-// acted on without structural verification (WL colours).
-inline std::uint64_t coeff_bits_exact(double c) {
-  if (c == 0.0) c = 0.0;  // -0.0 == 0.0, so this normalizes the sign bit
-  return std::bit_cast<std::uint64_t>(c);
-}
-
 // Raw bit pattern of a double, -0.0 kept distinct from +0.0.  This is the
 // fold for *wire checksums* (dist/fault.hpp: message_checksum), where the
 // sign of zero is a payload bit like any other and a single-bit corruption
-// must always change the digest -- the opposite contract from
-// coeff_bits_exact, whose callers want arithmetically equal coefficients to
-// hash equal.
+// must always change the digest.
 inline std::uint64_t payload_bits(double c) {
   return std::bit_cast<std::uint64_t>(c);
-}
-
-// Quantized bit pattern: the low 12 mantissa bits are truncated, grouping
-// coefficients equal up to ~2^-40 relative under one hash.  Only safe where
-// an exact arbiter runs on hash equality: ViewTree::canonical_hash buckets
-// are verified with structurally_equal (exact doubles) when the
-// representative copy is resident, and with the exact-coefficient
-// secondary_hash stream otherwise -- so quantization can only cost extra
-// comparisons, never a wrong merge.
-inline std::uint64_t coeff_bits_quantized(double c) {
-  return coeff_bits_exact(c) & ~0xFFFull;
 }
 
 }  // namespace locmm

@@ -1,6 +1,7 @@
 // pipeline.cpp -- the composed §4.2 -> §4.6 reduction and the special-form
 // contract checks used by the §5 algorithm.
 #include <cmath>
+#include <utility>
 
 #include "transform/transform.hpp"
 
@@ -14,17 +15,24 @@ std::vector<double> Pipeline::map_back(std::span<const double> x_special) const 
   return id_map.map_back(x_special);
 }
 
-Pipeline to_special_form(const MaxMinInstance& in) {
+std::vector<TransformStep> pipeline_steps(const MaxMinInstance& in) {
   in.validate();
+  std::vector<TransformStep> steps;
+  steps.reserve(5);
+  steps.push_back(augment_singleton_constraints(in));
+  steps.push_back(reduce_constraint_degree(steps.back().instance));
+  steps.push_back(split_agents_per_objective(steps.back().instance));
+  steps.push_back(augment_singleton_objectives(steps.back().instance));
+  steps.push_back(normalize_objective_coeffs(steps.back().instance));
+  return steps;
+}
+
+Pipeline to_special_form(const MaxMinInstance& in) {
+  std::vector<TransformStep> steps = pipeline_steps(in);
   Pipeline p;
-  p.steps.push_back(augment_singleton_constraints(in));
-  p.steps.push_back(reduce_constraint_degree(p.steps.back().instance));
-  p.steps.push_back(split_agents_per_objective(p.steps.back().instance));
-  p.steps.push_back(augment_singleton_objectives(p.steps.back().instance));
-  p.steps.push_back(normalize_objective_coeffs(p.steps.back().instance));
-  p.special = p.steps.back().instance;
-  for (const TransformStep& s : p.steps) p.ratio_factor *= s.ratio_factor;
-  p.id_map = build_pipeline_id_map(in, p.steps);
+  for (const TransformStep& s : steps) p.ratio_factor *= s.ratio_factor;
+  p.id_map = build_pipeline_id_map(in, steps);
+  p.special = std::move(steps.back().instance);
   check_special_form(p.special);
   return p;
 }

@@ -141,17 +141,21 @@ struct PipelineIdMap {
 PipelineIdMap build_pipeline_id_map(const MaxMinInstance& in,
                                     const std::vector<TransformStep>& steps);
 
+// The five stages §4.2 -> §4.6 in application order, each with its
+// intermediate instance and back-map closure.  to_special_form keeps only
+// what it derives from them; the per-stage tests and benches read them
+// here.
+std::vector<TransformStep> pipeline_steps(const MaxMinInstance& in);
+
 // The composed pipeline §4.2 -> §4.6.
 struct Pipeline {
-  MaxMinInstance special;            // final special-form instance
-  std::vector<TransformStep> steps;  // in application order
-  PipelineIdMap id_map;              // composed old-id -> new-id map
-  double ratio_factor = 1.0;         // product of step factors (= delta_I/2)
+  MaxMinInstance special;     // final special-form instance
+  PipelineIdMap id_map;       // composed old-id -> new-id map
+  double ratio_factor = 1.0;  // product of step factors (= delta_I/2)
 
   // Maps a solution of `special` back to the original instance, via the
-  // id map's closed form (== folding steps' closures in reverse, except it
-  // stays correct after fast-path edits updated gamma; the closures are
-  // kept for the per-stage transform tests).
+  // id map's closed form (== folding pipeline_steps' closures in reverse,
+  // except it stays correct after fast-path edits updated gamma).
   std::vector<double> map_back(std::span<const double> x_special) const;
 };
 

@@ -18,6 +18,7 @@
 #include "gen/generators.hpp"
 #include "graph/comm_graph.hpp"
 #include "graph/view_tree.hpp"
+#include "support/thread_pool.hpp"
 #include "transform/transform.hpp"
 
 namespace locmm {
@@ -27,6 +28,24 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// The naive oracle over a whole instance: every agent builds its
+// radius-D(R) view and evaluates it with the literal recursion.  Agents
+// run in parallel, each writing its own slot.
+std::vector<double> naive_local_views(const MaxMinInstance& special,
+                                      std::int32_t R) {
+  const CommGraph g(special);
+  const std::int32_t D = view_radius(R);
+  TSearchOptions opt;
+  opt.engine = ViewEngine::kNaive;
+  std::vector<double> x(static_cast<std::size_t>(special.num_agents()));
+  parallel_for(x.size(), 0, [&](std::size_t v) {
+    const ViewTree view =
+        ViewTree::build(g, g.agent_node(static_cast<AgentId>(v)), D);
+    x[v] = solve_agent_from_view(view, R, opt);
+  });
+  return x;
+}
+
 // Runs all three evaluators on a special-form instance and checks pairwise
 // bitwise agreement (the naive and DP engines follow bit-identical probe
 // sequences, and all engines share one reduction order).
@@ -34,15 +53,8 @@ void expect_dp_matches(const MaxMinInstance& special, std::int32_t R) {
   ASSERT_TRUE(is_special_form(special));
   const SpecialFormInstance sf(special);
   const SpecialRunResult c = solve_special_centralized(sf, R);
-
-  TSearchOptions naive_opt;
-  naive_opt.engine = ViewEngine::kNaive;
-  const std::vector<double> naive = solve_special_local_views(special, R,
-                                                              naive_opt);
-  TSearchOptions dp_opt;
-  dp_opt.engine = ViewEngine::kMemoizedDp;
-  const std::vector<double> dp = solve_special_local_views(special, R,
-                                                           dp_opt);
+  const std::vector<double> naive = naive_local_views(special, R);
+  const std::vector<double> dp = solve_special_local_views(special, R);
 
   ASSERT_EQ(dp.size(), naive.size());
   ASSERT_EQ(dp.size(), c.x.size());

@@ -183,7 +183,7 @@ TEST(ReplaySubstrate, RegathersOnlyTheDirtyBall) {
     const auto* prog =
         static_cast<const GatherProgram*>(first.programs[i].get());
     const ViewTree direct = ViewTree::build(g, first.executed[i], D);
-    EXPECT_TRUE(ViewTree::same_view(prog->view(), direct))
+    EXPECT_TRUE(ViewTree::structurally_equal(prog->view(), direct))
         << "node " << first.executed[i];
   }
 
@@ -204,7 +204,7 @@ TEST(ReplaySubstrate, RegathersOnlyTheDirtyBall) {
     const auto* prog =
         static_cast<const GatherProgram*>(second.programs[i].get());
     const ViewTree direct = ViewTree::build(g, second.executed[i], D);
-    EXPECT_TRUE(ViewTree::same_view(prog->view(), direct))
+    EXPECT_TRUE(ViewTree::structurally_equal(prog->view(), direct))
         << "node " << second.executed[i];
   }
 }

@@ -595,8 +595,7 @@ TEST(IncrementalSolver, ThreeRegularScriptsBitIdentical) {
 
 TEST(IncrementalSolver, RandomScriptsWithStructuralEditsBitIdentical) {
   // Random special form stays at R = 2: its high-degree agents grow
-  // radius-17 views to tens of millions of nodes (the same cap
-  // bench_view_cache documents; engine C is the fast path there).
+  // radius-17 views to tens of millions of nodes.
   const MaxMinInstance random_sp =
       random_special_form({.num_agents = 28, .extra_constraints = 1.5}, 71);
   run_incremental_script(random_sp, 2, 404, 5, /*allow_structural=*/true);

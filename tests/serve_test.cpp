@@ -12,6 +12,7 @@
 // ctest entry.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -641,7 +642,8 @@ TEST(SolverService, UtilityIsTheMaintainedOmega) {
 
 struct ChaosConfig {
   int tenants = 4;
-  int steps = 12;          // batches attempted per tenant
+  int steps = 12;          // batches attempted per tenant, at least...
+  double min_seconds = 0;  // ...and until each writer has run this long
   bool structural = true;  // mix in rewires / objective moves
   bool deadline_pressure = true;
 };
@@ -677,7 +679,13 @@ void run_chaos(const ChaosConfig& cfg) {
       // Tenant-local mirror of the projected instance, so the generator
       // can produce valid deltas against queued-but-uncommitted state.
       SpecialFormInstance mirror(bases[static_cast<std::size_t>(t)]);
-      for (int step = 0; step < cfg.steps; ++step) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto busy = [&] {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count() < cfg.min_seconds;
+      };
+      for (int step = 0; step < cfg.steps || busy(); ++step) {
         const std::uint64_t roll = rng.below(10);
         if (roll < 3) {  // malformed traffic
           const ServeStatus s = svc.submit(
@@ -799,11 +807,13 @@ TEST(ServeChaos, SameTenantCommutingWriters) {
   }
 }
 
-// The promoted chaos fixture: more tenants, more steps, structural +
-// deadline pressure everywhere.  DISABLED_ keeps it out of tier-1; the
-// slow_serve_chaos ctest entry re-enables it (the CI TSan job runs it).
+// The promoted chaos fixture: more tenants, structural + deadline pressure
+// everywhere, and every writer busy for at least 2 s of wall time -- edits
+// are O(ball), so a fixed step count would finish in milliseconds and
+// leave the writers barely overlapping.  DISABLED_ keeps it out of tier-1;
+// the slow_serve_chaos ctest entry re-enables it (the CI TSan job runs it).
 TEST(ServeChaosSlow, DISABLED_FullStorm) {
-  run_chaos({.tenants = 6, .steps = 24});
+  run_chaos({.tenants = 6, .steps = 24, .min_seconds = 2.0});
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // the composed pipeline contract.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gen/generators.hpp"
 #include "lp/maxmin_solver.hpp"
 #include "transform/transform.hpp"
@@ -194,11 +196,12 @@ TEST_P(PipelineOnFamilies, ProducesSpecialFormWithSoundBackMap) {
   const MaxMinInstance in = family_instance(GetParam());
   const Pipeline p = to_special_form(in);
   EXPECT_TRUE(is_special_form(p.special));
-  EXPECT_EQ(p.steps.size(), 5u);
+  const std::vector<TransformStep> steps = pipeline_steps(in);
+  ASSERT_EQ(steps.size(), 5u);
 
   // ratio_factor = delta_I(after §4.2) / 2.
   const double d = static_cast<double>(
-      std::max<std::int32_t>(2, p.steps[0].instance.stats().delta_i));
+      std::max<std::int32_t>(2, steps[0].instance.stats().delta_i));
   EXPECT_DOUBLE_EQ(p.ratio_factor, d / 2.0);
 
   // Solve the special instance exactly and map back: feasibility plus the
@@ -207,6 +210,18 @@ TEST_P(PipelineOnFamilies, ProducesSpecialFormWithSoundBackMap) {
   ASSERT_EQ(res.status, LpStatus::kOptimal);
   const std::vector<double> x = p.map_back(res.x);
   EXPECT_TRUE(in.is_feasible(x, 1e-8));
+
+  // The id map's closed form is bitwise the step closures folded in
+  // reverse.
+  std::vector<double> folded = res.x;
+  for (auto s = steps.rbegin(); s != steps.rend(); ++s) {
+    folded = s->back(folded);
+  }
+  ASSERT_EQ(folded.size(), x.size());
+  for (std::size_t v = 0; v < x.size(); ++v) {
+    EXPECT_EQ(std::memcmp(&folded[v], &x[v], sizeof(double)), 0)
+        << "agent " << v;
+  }
   EXPECT_GE(in.utility(x), res.omega / p.ratio_factor - 1e-8);
 
   // The special optimum dominates the original (every step's "optimal

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "core/local_solver.hpp"
+#include "core/solver_api.hpp"
 #include "core/view_solver.hpp"
 #include "gen/generators.hpp"
 #include "transform/transform.hpp"
@@ -95,16 +96,64 @@ TEST(ViewSolver, UndersizedViewFailsLoudly) {
   EXPECT_THROW(solve_agent_from_view(view, 3), CheckError);
 }
 
+// Engine L must give the same bits at 1, 4 and all hardware threads.
+void expect_thread_count_invariant(const MaxMinInstance& inst,
+                                   std::int32_t R) {
+  const std::vector<double> serial = solve_special_local_views(inst, R, {}, 1);
+  for (const std::size_t threads : {4, 0}) {
+    const std::vector<double> threaded =
+        solve_special_local_views(inst, R, {}, threads);
+    ASSERT_EQ(threaded.size(), serial.size());
+    for (std::size_t v = 0; v < serial.size(); ++v) {
+      EXPECT_EQ(std::memcmp(&serial[v], &threaded[v], sizeof(double)), 0)
+          << "threads " << threads << " agent " << v;
+    }
+  }
+}
+
 TEST(ViewSolver, ThreadedMatchesSerial) {
+  // Where every agent's view differs (random special form) and where agents
+  // share views (the wheel).
   RandomSpecialParams p;
   p.num_agents = 12;
-  const MaxMinInstance inst = random_special_form(p, 9);
-  const std::vector<double> serial =
-      solve_special_local_views(inst, 2, {}, 1);
-  const std::vector<double> threaded =
-      solve_special_local_views(inst, 2, {}, 4);
-  for (std::size_t v = 0; v < serial.size(); ++v)
-    EXPECT_DOUBLE_EQ(serial[v], threaded[v]);
+  expect_thread_count_invariant(random_special_form(p, 9), 2);
+  expect_thread_count_invariant(
+      layered_instance({.delta_k = 2, .layers = 16, .width = 1, .twist = 0}),
+      2);
+}
+
+TEST(ViewCache, ThreadCountDoesNotChangeResults) {
+  // The randomized torus, where agents' views repeat only in structure and
+  // not in coefficients.  (The suite name is that of the deleted view-class
+  // cache, whose shared-cache half of this test went with it.)
+  expect_thread_count_invariant(
+      special_grid_instance(
+          {.rows = 6, .cols = 5, .coeff_lo = 0.5, .coeff_hi = 2.0}, 17),
+      2);
+}
+
+TEST(ViewSolver, SolvesPastTheViewNodeBudget) {
+  // Radius-17 views of this instance's 46 special agents run past
+  // ViewTree's 64M-node budget.  Engine L reads the neighbourhoods off the
+  // graph instead, so it must solve it, bitwise equal to engine C.
+  const MaxMinInstance inst = random_general({.num_agents = 16}, 2);
+  LocalParams params;
+  params.R = 3;
+  const LocalSolution c = solve_local(inst, params);
+  params.engine = LocalEngine::kLocalViews;
+  const LocalSolution l = solve_local(inst, params);
+  ASSERT_EQ(l.x_special.size(), 46u);
+  ASSERT_EQ(l.x_special.size(), c.x_special.size());
+  for (std::size_t v = 0; v < l.x_special.size(); ++v) {
+    EXPECT_EQ(std::memcmp(&l.x_special[v], &c.x_special[v], sizeof(double)),
+              0)
+        << "special agent " << v;
+  }
+  ASSERT_EQ(l.x.size(), c.x.size());
+  for (std::size_t v = 0; v < l.x.size(); ++v) {
+    EXPECT_EQ(std::memcmp(&l.x[v], &c.x[v], sizeof(double)), 0)
+        << "agent " << v;
+  }
 }
 
 }  // namespace

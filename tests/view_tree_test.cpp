@@ -100,7 +100,7 @@ TEST(ViewTree, SameViewForSymmetricRoots) {
   const CommGraph g(inst);
   const ViewTree a = ViewTree::build(g, g.agent_node(3), 5);
   const ViewTree b = ViewTree::build(g, g.agent_node(7), 5);
-  EXPECT_TRUE(ViewTree::same_view(a, b));
+  EXPECT_TRUE(ViewTree::structurally_equal(a, b));
 }
 
 TEST(ViewTree, SameViewDetectsCoefficientDifference) {
@@ -109,7 +109,8 @@ TEST(ViewTree, SameViewDetectsCoefficientDifference) {
   const CommGraph g(inst);
   const ViewTree a = ViewTree::build(g, g.agent_node(0), 3);
   const ViewTree b = ViewTree::build(g, g.agent_node(5), 3);
-  EXPECT_FALSE(ViewTree::same_view(a, b));  // random coefficients differ
+  // Random coefficients differ.
+  EXPECT_FALSE(ViewTree::structurally_equal(a, b));
 }
 
 TEST(ViewTree, MaxNodesGuardTrips) {
