@@ -13,8 +13,9 @@
 //       us/agent should be near-constant (linear total).
 //   (c) scaling in r: f-state evaluations per agent for both engines --
 //       the naive curve grows exponentially in r (it re-expands the
-//       recursion over the Delta^D view copies), the DP curve stays
-//       O(distinct origins * r * probes).
+//       recursion over the Delta^D view copies); each DP t search evaluates
+//       its O(distinct origins * r) cone twice, then only the live states
+//       of each probe.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -160,7 +161,9 @@ int main(int argc, char** argv) {
       json += R < 4 ? ",\n" : "\n";
     }
     json += "  ]\n}\n";
-    table.note("naive grows exponentially in r; DP stays O(origins * r * probes)");
+    table.note(
+        "naive grows exponentially in r; a DP t search evaluates its "
+        "O(origins * r) cone twice, then only each probe's live states");
     table.print();
   }
 

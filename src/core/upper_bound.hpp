@@ -40,10 +40,10 @@ namespace locmm {
 // Which implementation evaluates the §5 recursions on an explicit local view
 // (engine L, view_solver.hpp).
 enum class ViewEngine : std::uint8_t {
-  // Iterative, memoized, bottom-up dynamic program over flat
-  // (view-node, depth) tables: each state is evaluated at most once per
-  // probed omega, t-searches for all agents of an s-ball share their
-  // omega-tables, and scratch buffers are reused across agents.  Default.
+  // Iterative, memoized, bottom-up dynamic program keyed by origin: g±
+  // live in flat (origin slot, depth) tables, every t runs engine C's
+  // live-set bisection (core/t_search.hpp) over the harvested adjacency,
+  // and scratch buffers are reused across agents.  Default.
   kMemoizedDp,
   // Literal tree-recursive transcription of (5)-(14): re-expands the
   // recursion from scratch on every call.  Kept as the differential-testing
@@ -53,16 +53,17 @@ enum class ViewEngine : std::uint8_t {
 
 // Operation counters for the evaluation engines.  All fields are atomic so a
 // single stats object can be shared across the per-agent parallel loops;
-// engines accumulate locally and flush once per evaluated agent.
+// engines accumulate locally and flush once per t search or evaluated agent.
 struct TSearchStats {
-  // f± evaluations performed.  Engine C: the whole cone at 0 and at the
-  // initial hi, then only the live states of each probe.  Engine L: DP
-  // states, or recursive calls for the naive engine.
+  // f± evaluations performed.  A t search (engines C and L): the whole cone
+  // at 0 and at the initial hi, then only the live states of each probe.
+  // The naive engine: recursive calls.
   std::atomic<std::int64_t> f_evals{0};
   std::atomic<std::int64_t> g_evals{0};   // g± state evaluations / calls
   std::atomic<std::int64_t> t_searches{0};  // bisection searches run
   std::atomic<std::int64_t> t_checks{0};    // condition (8)-(9) evaluations
-  std::atomic<std::int64_t> omega_sweeps{0};  // DP: distinct-omega table fills
+  // Always 0; perfbench/src/cold_general.cpp reads it.
+  std::atomic<std::int64_t> omega_sweeps{0};
   std::atomic<std::int64_t> view_nodes{0};    // sum of evaluated view sizes
 
   // Incremental re-solve counters (src/dynamic/incremental_solver.hpp).
@@ -70,12 +71,6 @@ struct TSearchStats {
   // (the dirty ball), and agents whose stored output was reused untouched.
   std::atomic<std::int64_t> agents_dirty{0};
   std::atomic<std::int64_t> agents_reused{0};
-
-  // Engine L's SoA sweeps (view_solver.cpp): multi-omega table fills
-  // (chunks batching >= 2 distinct probe omegas into one
-  // reverse-topological sweep); omega_sweeps keeps its per-distinct-omega
-  // semantics, so vector_sweeps < omega_sweeps measures the batching.
-  std::atomic<std::int64_t> vector_sweeps{0};
 
   void reset() {
     f_evals = 0;
@@ -86,7 +81,6 @@ struct TSearchStats {
     view_nodes = 0;
     agents_dirty = 0;
     agents_reused = 0;
-    vector_sweeps = 0;
   }
 };
 
@@ -111,7 +105,8 @@ struct TSearchOptions {
 
 // t_u for one agent: bisection on (8)-(9) over the agent's dependency cone,
 // the states (v, d, +/-) reachable from (u, r, -), rebuilt per call in
-// per-thread scratch sized by the cone.
+// per-thread scratch sized by the cone (core/t_search.hpp; engine L runs the
+// same search).
 double compute_t_single(const SpecialFormInstance& sf, AgentId u,
                         std::int32_t r, const TSearchOptions& opt = {});
 

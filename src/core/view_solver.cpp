@@ -1,11 +1,12 @@
 #include "core/view_solver.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
+#include "core/t_search.hpp"
 #include "support/thread_pool.hpp"
 
 namespace locmm {
@@ -19,14 +20,13 @@ std::int32_t view_radius(std::int32_t R) {
 namespace {
 
 // Per-evaluation operation counters; flushed into the shared atomic
-// TSearchStats once per agent so the hot loops stay contention-free.
+// TSearchStats once per agent so the hot loops stay contention-free.  The
+// DP's t searches count themselves, once per search (core/t_search.hpp).
 struct LocalStats {
   std::int64_t f_evals = 0;
   std::int64_t g_evals = 0;
   std::int64_t t_searches = 0;
   std::int64_t t_checks = 0;
-  std::int64_t omega_sweeps = 0;
-  std::int64_t vector_sweeps = 0;
 
   void flush(TSearchStats* s, std::int64_t nodes) const {
     if (s == nullptr) return;
@@ -34,8 +34,6 @@ struct LocalStats {
     s->g_evals.fetch_add(g_evals, std::memory_order_relaxed);
     s->t_searches.fetch_add(t_searches, std::memory_order_relaxed);
     s->t_checks.fetch_add(t_checks, std::memory_order_relaxed);
-    s->omega_sweeps.fetch_add(omega_sweeps, std::memory_order_relaxed);
-    s->vector_sweeps.fetch_add(vector_sweeps, std::memory_order_relaxed);
     s->view_nodes.fetch_add(nodes, std::memory_order_relaxed);
   }
 };
@@ -292,12 +290,12 @@ class ViewEvaluator {
 // engine walks the view and therefore recomputes each (origin, depth) state
 // astronomically many times, once per copy per probe; this engine keys
 // every state by origin instead, collapsing the exponential view to the
-// polynomial inner ball of G that the view actually projects.  All tables
-// are flat vectors indexed by slot * (r+1) + d, where `slot` is a dense id
-// assigned to each *touched* agent origin.  Per origin the shallowest view
-// copy (ViewTree::representative, recorded during the BFS build) serves as
-// the adjacency lookup point -- it is the most-expanded copy, so its
-// neighbour list is exactly the origin's adjacency in G:
+// polynomial inner ball of G that the view actually projects.  Each touched
+// agent origin gets a dense `slot`; the g tables are flat vectors indexed by
+// slot * (r+1) + d.  Per origin the shallowest view copy
+// (ViewTree::representative, recorded during the BFS build) serves as the
+// adjacency lookup point -- it is the most-expanded copy, so its neighbour
+// list is exactly the origin's adjacency in G:
 //
 //   phase 1  mark the g-dependency cone of the root (which g±, s, t values
 //            the output (18) reads), CHECK-ing view-frontier overruns where
@@ -306,12 +304,9 @@ class ViewEvaluator {
 //            (arc partners + siblings, 2r+1 steps = the radius-(4r+2)
 //            comm-graph ball) collects the ball and the union of t-needed
 //            agents;
-//   phase 3  batched t-search: all needed agents bisect in lockstep;
-//            searches whose next probe omega is bit-identical share a
-//            single omega-table fill (one reverse-topological sweep over
-//            depth-major buckets of the marked cone union).  Brackets are
-//            per-agent and reproduce the naive bisection trajectory
-//            bit-for-bit, so outputs are identical to the oracle.
+//   phase 3  one t search per t-needed agent: engine C's live-set
+//            bisection (core/t_search.hpp) run over the harvested slices,
+//            so every t is bitwise engine C's;
 //   phase 4  s = min t over each stored ball; one depth-major sweep fills
 //            the g tables; (18) sums the root row.
 //
@@ -326,18 +321,6 @@ class ViewEvaluator {
 namespace detail {
 
 struct DpScratch {
-  // SoA probe lanes: one reverse-topological sweep fills the f tables for
-  // up to kLanes DISTINCT probe omegas at once, each omega occupying a
-  // contiguous lane stripe (state-major, lane-minor: index
-  // (slot * (r+1) + d) * kLanes + lane).  The per-state fmark bytes double
-  // as lane masks -- bit l set means lane l's search cone needs the state
-  // -- which is why kLanes is exactly 8.  Full-mask states (the common
-  // case in fat views, where the lockstep bisections share their cones)
-  // take a branch-free all-lane inner loop the compiler vectorizes; other
-  // states fill only their marked lanes, so total f-work never exceeds the
-  // one-sweep-per-omega baseline.
-  static constexpr std::int32_t kLanes = 8;
-
   // --- origin-indexed, epoch-stamped (O(1) reset, grow-only) ------------
   // Entries are valid only when their epoch matches `epoch`; growth fills
   // epoch 0, which is never current.
@@ -350,24 +333,16 @@ struct DpScratch {
   std::vector<std::uint8_t> slot_flags;
   std::vector<double> inv_cap;
 
-  // Constraint arcs in port order: partner agent origin + both coefficients.
+  // Constraint arcs in port order; partners are agent origins.
   std::vector<std::int64_t> arc_offsets;  // size slots+1
-  std::vector<std::int32_t> arc_partner;
-  std::vector<double> arc_a_self;
-  std::vector<double> arc_a_partner;
+  std::vector<ConstraintArc> arcs;
 
   // Siblings (objective row minus self, as origins) in the objective's
   // port order.
   std::vector<std::int64_t> sib_offsets;  // size slots+1
   std::vector<std::int32_t> sib_origin;
 
-  // --- flat (slot, depth) tables ----------------------------------------
-  // f tables are lane-striped (see kLanes): index (slot*(r+1)+d)*kLanes+l.
-  // The fmark bytes are per-state lane masks.  g tables stay single-lane
-  // (one sweep total), index slot * (r+1) + d.
-  std::vector<double> f_plus, f_minus;
-  std::vector<std::uint8_t> fok_plus, fok_minus;  // condition-(8) cone flags
-  std::vector<std::uint8_t> fmark_plus, fmark_minus;
+  // --- flat (slot, depth) g tables: index slot * (r+1) + d --------------
   std::vector<double> g_plus, g_minus;
   std::vector<std::uint8_t> gmark_plus, gmark_minus;
 
@@ -378,7 +353,6 @@ struct DpScratch {
   std::vector<double> s_val;
 
   // --- worklists and buckets --------------------------------------------
-  std::vector<std::vector<std::int32_t>> fbucket_plus, fbucket_minus;
   std::vector<std::vector<std::int32_t>> gbucket_plus, gbucket_minus;
   std::vector<std::int32_t> s_list;  // slots needing s, discovery order
   std::vector<std::int32_t> t_list;  // slots needing t, discovery order
@@ -386,19 +360,6 @@ struct DpScratch {
   std::vector<std::int32_t> ball_slots;    // ...the stored balls
   std::vector<std::uint8_t> in_ball;       // per-slot BFS visited marks
   std::vector<std::int32_t> bfs_cur, bfs_next;
-  std::vector<std::pair<std::uint64_t, std::int32_t>> probes;
-
-  struct TSearch {
-    std::int32_t slot = -1;
-    double cap = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-    double eps = 0.0;
-    double result = 0.0;
-    std::int32_t iters = 0;
-    std::uint8_t stage = 0;  // 0: probe 0, 1: probe hi, 2: bisect, 3: done
-  };
-  std::vector<TSearch> searches;
 
   void reset(std::int32_t r) {
     ++epoch;
@@ -410,17 +371,9 @@ struct DpScratch {
     slot_flags.clear();
     inv_cap.clear();
     arc_offsets.assign(1, 0);
-    arc_partner.clear();
-    arc_a_self.clear();
-    arc_a_partner.clear();
+    arcs.clear();
     sib_offsets.assign(1, 0);
     sib_origin.clear();
-    f_plus.clear();
-    f_minus.clear();
-    fok_plus.clear();
-    fok_minus.clear();
-    fmark_plus.clear();
-    fmark_minus.clear();
     g_plus.clear();
     g_minus.clear();
     gmark_plus.clear();
@@ -430,13 +383,9 @@ struct DpScratch {
     s_need.clear();
     s_val.clear();
     const auto depths = static_cast<std::size_t>(r) + 1;
-    fbucket_plus.resize(depths);
-    fbucket_minus.resize(depths);
     gbucket_plus.resize(depths);
     gbucket_minus.resize(depths);
     for (std::size_t d = 0; d < depths; ++d) {
-      fbucket_plus[d].clear();
-      fbucket_minus[d].clear();
       gbucket_plus[d].clear();
       gbucket_minus[d].clear();
     }
@@ -445,8 +394,6 @@ struct DpScratch {
     ball_offsets.assign(1, 0);
     ball_slots.clear();
     in_ball.clear();
-    probes.clear();
-    searches.clear();
   }
 };
 
@@ -461,8 +408,6 @@ class DpViewEvaluator {
   static constexpr std::uint8_t kSibsOk = 1u << 2;
   static constexpr std::uint8_t kArcsMalformed = 1u << 3;
   static constexpr std::uint8_t kSibsMalformed = 1u << 4;
-
-  static constexpr std::int32_t kLanes = detail::DpScratch::kLanes;
 
  public:
   DpViewEvaluator(const ViewTree& view, std::int32_t r,
@@ -508,15 +453,68 @@ class DpViewEvaluator {
 
   double t_root() {
     const std::int32_t root = root_slot();
-    if (!sc_.t_need[static_cast<std::size_t>(root)]) {
-      sc_.t_need[static_cast<std::size_t>(root)] = 1;
-      sc_.t_list.push_back(root);
-    }
-    run_t_searches();
-    return sc_.t_val[static_cast<std::size_t>(root)];
+    return detail::bisect_t(Slices(*this),
+                            sc_.slot_origin[static_cast<std::size_t>(root)],
+                            r_, opt_);
   }
 
  private:
+  // The harvested slices as the adjacency of the shared t search
+  // (core/t_search.hpp), keyed by origin.  Every accessor checks its slice
+  // through use_cap / use_arcs / use_sibs, so a search whose cone runs past
+  // the view frontier fails loudly.  A returned span lives until the next
+  // accessor call, which may harvest a new slot.
+  class Slices {
+   public:
+    explicit Slices(DpViewEvaluator& dp) : dp_(&dp) {}
+
+    std::span<const ConstraintArc> arcs(AgentId origin) const {
+      const std::int32_t slot = dp_->slot_of(origin);
+      dp_->use_arcs(slot);
+      return slice(dp_->sc_.arcs, dp_->sc_.arc_offsets, slot);
+    }
+
+    std::span<const std::int32_t> siblings(AgentId origin) const {
+      const std::int32_t slot = dp_->slot_of(origin);
+      dp_->use_sibs(slot);
+      return slice(dp_->sc_.sib_origin, dp_->sc_.sib_offsets, slot);
+    }
+
+    double inv_cap(AgentId origin) const {
+      const std::int32_t slot = dp_->slot_of(origin);
+      dp_->use_cap(slot);
+      return dp_->sc_.inv_cap[static_cast<std::size_t>(slot)];
+    }
+
+    // The agent's own cap first, then its siblings' in port order, as
+    // SpecialFormInstance::t_search_upper sums them.  Indexed, because a
+    // sibling's first inv_cap may harvest its slot and move sib_origin.
+    double t_search_upper(AgentId origin) const {
+      const std::int32_t slot = dp_->slot_of(origin);
+      double hi = inv_cap(origin);
+      dp_->use_sibs(slot);
+      const detail::DpScratch& sc = dp_->sc_;
+      for (std::int64_t j = sc.sib_offsets[static_cast<std::size_t>(slot)];
+           j < sc.sib_offsets[static_cast<std::size_t>(slot) + 1]; ++j) {
+        hi += inv_cap(sc.sib_origin[static_cast<std::size_t>(j)]);
+      }
+      return hi;
+    }
+
+   private:
+    template <typename T>
+    static std::span<const T> slice(const std::vector<T>& rows,
+                                    const std::vector<std::int64_t>& offsets,
+                                    std::int32_t slot) {
+      const auto s = static_cast<std::size_t>(slot);
+      return std::span(rows).subspan(
+          static_cast<std::size_t>(offsets[s]),
+          static_cast<std::size_t>(offsets[s + 1] - offsets[s]));
+    }
+
+    DpViewEvaluator* dp_;
+  };
+
   // --- slots and adjacency slices ---------------------------------------
 
   std::int32_t root_slot() {
@@ -562,20 +560,13 @@ class DpViewEvaluator {
       harvest_view(origin, flags, cap);
     }
 
-    sc_.arc_offsets.push_back(static_cast<std::int64_t>(sc_.arc_partner.size()));
+    sc_.arc_offsets.push_back(static_cast<std::int64_t>(sc_.arcs.size()));
     sc_.sib_offsets.push_back(static_cast<std::int64_t>(sc_.sib_origin.size()));
     sc_.slot_flags.push_back(flags);
     sc_.inv_cap.push_back(cap);
 
     const auto rows = (static_cast<std::size_t>(slot) + 1) *
                       (static_cast<std::size_t>(r_) + 1);
-    const auto lane_rows = rows * static_cast<std::size_t>(kLanes);
-    sc_.f_plus.resize(lane_rows);
-    sc_.f_minus.resize(lane_rows);
-    sc_.fok_plus.resize(lane_rows, 0);
-    sc_.fok_minus.resize(lane_rows, 0);
-    sc_.fmark_plus.resize(rows, 0);
-    sc_.fmark_minus.resize(rows, 0);
     sc_.g_plus.resize(rows);
     sc_.g_minus.resize(rows);
     sc_.gmark_plus.resize(rows, 0);
@@ -628,9 +619,9 @@ class DpViewEvaluator {
         }
         if (partner < 0) arcs_malformed = true;
         if (!arcs_malformed) {
-          sc_.arc_partner.push_back(partner);
-          sc_.arc_a_self.push_back(coeffs[p]);
-          sc_.arc_a_partner.push_back(a_partner);
+          sc_.arcs.push_back({.a_self = coeffs[p],
+                              .partner = static_cast<AgentId>(partner),
+                              .a_partner = a_partner});
         }
       } else if (view_->node(nbr).type == NodeType::kObjective) {
         if (objective >= 0) {
@@ -692,9 +683,9 @@ class DpViewEvaluator {
         }
         if (partner < 0) arcs_malformed = true;
         if (!arcs_malformed) {
-          sc_.arc_partner.push_back(partner);
-          sc_.arc_a_self.push_back(e.coeff);
-          sc_.arc_a_partner.push_back(a_partner);
+          sc_.arcs.push_back({.a_self = e.coeff,
+                              .partner = static_cast<AgentId>(partner),
+                              .a_partner = a_partner});
         }
       } else if (g_->type(e.to) == NodeType::kObjective) {
         if (objective >= 0) {
@@ -775,7 +766,7 @@ class DpViewEvaluator {
     use_arcs(slot);  // (14) reads every incident constraint's partner
     for (std::int64_t j = sc_.arc_offsets[static_cast<std::size_t>(slot)];
          j < sc_.arc_offsets[static_cast<std::size_t>(slot) + 1]; ++j) {
-      mark_g_minus(slot_of(sc_.arc_partner[static_cast<std::size_t>(j)]),
+      mark_g_minus(slot_of(sc_.arcs[static_cast<std::size_t>(j)].partner),
                    d - 1);
     }
   }
@@ -820,7 +811,7 @@ class DpViewEvaluator {
                    sc_.arc_offsets[static_cast<std::size_t>(slot)];
                j < sc_.arc_offsets[static_cast<std::size_t>(slot) + 1]; ++j) {
             const std::int32_t nbr =
-                slot_of(sc_.arc_partner[static_cast<std::size_t>(j)]);
+                slot_of(sc_.arcs[static_cast<std::size_t>(j)].partner);
             if (visit_ball(nbr)) sc_.bfs_next.push_back(nbr);
           }
           for (std::int64_t j =
@@ -857,316 +848,16 @@ class DpViewEvaluator {
     return true;
   }
 
-  // --- phase 3: batched t-search ----------------------------------------
+  // --- phase 3: t searches ---------------------------------------------
 
-  // Initialises one bisection per t-needed agent; the search bracket and
-  // probe sequence are exactly the naive engine's, so results agree
-  // bit-for-bit.  hi = sum of inv_cap over the objective row, own term
-  // first (matching SpecialFormInstance::t_search_upper).
-  void run_t_searches() {
-    sc_.searches.clear();
-    sc_.searches.reserve(sc_.t_list.size());
+  // One shared bisection (core/t_search.hpp) per t-needed agent, over the
+  // harvested slices: the same cone, probes and bits as engine C.
+  void compute_t_values() {
     for (const std::int32_t slot : sc_.t_list) {
-      detail::DpScratch::TSearch ts;
-      ts.slot = slot;
-      use_cap(slot);
-      ts.cap = sc_.inv_cap[static_cast<std::size_t>(slot)];
-      double hi = ts.cap;
-      use_sibs(slot);
-      for (std::int64_t j = sc_.sib_offsets[static_cast<std::size_t>(slot)];
-           j < sc_.sib_offsets[static_cast<std::size_t>(slot) + 1]; ++j) {
-        const std::int32_t ws =
-            slot_of(sc_.sib_origin[static_cast<std::size_t>(j)]);
-        use_cap(ws);
-        hi += sc_.inv_cap[static_cast<std::size_t>(ws)];
-      }
-      ts.hi = hi;
-      ts.eps = opt_.tol * std::max(1.0, hi);
-      sc_.searches.push_back(ts);
-    }
-    if (stats_ != nullptr)
-      stats_->t_searches += static_cast<std::int64_t>(sc_.searches.size());
-
-    std::size_t remaining = sc_.searches.size();
-    while (remaining > 0) {
-      // Group the active searches by the bit pattern of their next probe:
-      // every group shares one omega-table fill, and up to kLanes DISTINCT
-      // omegas batch into one SoA sweep.
-      sc_.probes.clear();
-      for (std::size_t i = 0; i < sc_.searches.size(); ++i) {
-        const auto& ts = sc_.searches[i];
-        if (ts.stage == 3) continue;
-        const double omega = ts.stage == 0   ? 0.0
-                             : ts.stage == 1 ? ts.hi
-                                             : 0.5 * (ts.lo + ts.hi);
-        sc_.probes.emplace_back(std::bit_cast<std::uint64_t>(omega),
-                                static_cast<std::int32_t>(i));
-      }
-      std::sort(sc_.probes.begin(), sc_.probes.end());
-      std::size_t i = 0;
-      while (i < sc_.probes.size()) {
-        double lane_omega[kLanes];
-        std::size_t lane_begin[kLanes + 1];
-        std::int32_t lanes = 0;
-        while (i < sc_.probes.size() && lanes < kLanes) {
-          lane_begin[lanes] = i;
-          lane_omega[lanes] = std::bit_cast<double>(sc_.probes[i].first);
-          std::size_t j = i;
-          while (j < sc_.probes.size() &&
-                 sc_.probes[j].first == sc_.probes[i].first) {
-            ++j;
-          }
-          ++lanes;
-          i = j;
-        }
-        lane_begin[lanes] = i;
-        sweep_f(lane_omega, lane_begin, lanes);
-        for (std::int32_t l = 0; l < lanes; ++l) {
-          for (std::size_t m = lane_begin[l]; m < lane_begin[l + 1]; ++m) {
-            auto& ts =
-                sc_.searches[static_cast<std::size_t>(sc_.probes[m].second)];
-            const std::int64_t root = at(ts.slot, r_) * kLanes + l;
-            const bool ok =
-                sc_.fok_minus[static_cast<std::size_t>(root)] != 0 &&
-                sc_.f_minus[static_cast<std::size_t>(root)] <= ts.cap;  // (9)
-            if (advance(ts, lane_omega[l], ok)) --remaining;
-          }
-        }
-      }
-    }
-    for (const auto& ts : sc_.searches)
-      sc_.t_val[static_cast<std::size_t>(ts.slot)] = ts.result;
-  }
-
-  // One bisection step; returns true when the search just finished.  The
-  // stage machine reproduces the naive t_at() control flow exactly:
-  // check(0) must pass, check(hi) short-circuits, then standard bisection
-  // on [lo, hi] with the tolerance/iteration budget of TSearchOptions.
-  bool advance(detail::DpScratch::TSearch& ts, double omega, bool ok) {
-    if (stats_ != nullptr) ++stats_->t_checks;
-    switch (ts.stage) {
-      case 0:
-        LOCMM_CHECK_MSG(ok, "omega = 0 must satisfy conditions (8)-(9)");
-        ts.stage = 1;
-        return false;
-      case 1:
-        if (ok) {
-          ts.result = ts.hi;
-          ts.stage = 3;
-          return true;
-        }
-        break;
-      default:
-        if (ok) {
-          ts.lo = omega;
-        } else {
-          ts.hi = omega;
-        }
-        ++ts.iters;
-        break;
-    }
-    if (ts.hi - ts.lo > ts.eps && ts.iters < opt_.max_iters) {
-      ts.stage = 2;
-      return false;
-    }
-    ts.result = ts.lo;
-    ts.stage = 3;
-    return true;
-  }
-
-  // Fills the f±/fok tables for up to kLanes distinct omegas in ONE
-  // reverse-topological sweep (SoA batching): lane l holds omega
-  // lane_omega[l], whose searches sit in probes[lane_begin[l],
-  // lane_begin[l+1]).  A marking pass gathers each lane's dependency cone
-  // into the shared depth-major buckets, recording per-state LANE MASKS in
-  // the fmark bytes (bit l = lane l needs this state).  The fill then walks
-  // each bucketed state once: full-mask states take the branch-free
-  // all-lane loop (contiguous stripes of kLanes doubles -- the compiler's
-  // vectorization target), partial-mask states fill only their marked
-  // lanes.  Per-lane floating-point op order is IDENTICAL to the scalar
-  // single-omega sweep, so results are bitwise unchanged, and total f-work
-  // equals the sum of the per-omega cones -- batching never inflates it.
-  void sweep_f(const double* lane_omega, const std::size_t* lane_begin,
-               std::int32_t lanes) {
-    if (stats_ != nullptr) {
-      stats_->omega_sweeps += lanes;  // per-distinct-omega semantics
-      if (lanes >= 2) ++stats_->vector_sweeps;
-    }
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      const auto bit = static_cast<std::uint8_t>(1u << l);
-      for (std::size_t m = lane_begin[l]; m < lane_begin[l + 1]; ++m) {
-        mark_f_minus(
-            sc_.searches[static_cast<std::size_t>(sc_.probes[m].second)].slot,
-            r_, bit);
-      }
-    }
-    const auto full =
-        static_cast<std::uint8_t>((1u << lanes) - 1u);  // all-lane mask
-    std::int64_t evals = 0;
-    for (std::int32_t d = 0; d <= r_; ++d) {
-      auto& plus_bucket = sc_.fbucket_plus[static_cast<std::size_t>(d)];
-      for (const std::int32_t s : plus_bucket) {
-        const std::uint8_t mask =
-            sc_.fmark_plus[static_cast<std::size_t>(at(s, d))];
-        const std::int64_t base = at(s, d) * kLanes;
-        evals += std::popcount(static_cast<unsigned>(mask));
-        if (d == 0) {
-          const double val = sc_.inv_cap[static_cast<std::size_t>(s)];  // (5)
-          const std::uint8_t ok = val >= 0.0 ? 1 : 0;  // condition (8)
-          for (std::int32_t l = 0; l < lanes; ++l) {
-            sc_.f_plus[static_cast<std::size_t>(base + l)] = val;
-            sc_.fok_plus[static_cast<std::size_t>(base + l)] = ok;
-          }
-          continue;
-        }
-        if (mask == full) {
-          // All lanes need this state: one pass over the arcs, a stripe of
-          // lanes per arc -- the vectorizable hot path.
-          double vals[kLanes];
-          std::uint8_t oks[kLanes];
-          for (std::int32_t l = 0; l < lanes; ++l) {
-            vals[l] = std::numeric_limits<double>::infinity();
-            oks[l] = 1;
-          }
-          for (std::int64_t j = sc_.arc_offsets[static_cast<std::size_t>(s)];
-               j < sc_.arc_offsets[static_cast<std::size_t>(s) + 1]; ++j) {
-            const std::int32_t ps =
-                sc_.origin2slot[static_cast<std::size_t>(
-                    sc_.arc_partner[static_cast<std::size_t>(j)])];
-            const std::int64_t depb = at(ps, d - 1) * kLanes;
-            const double ap =
-                sc_.arc_a_partner[static_cast<std::size_t>(j)];
-            const double as = sc_.arc_a_self[static_cast<std::size_t>(j)];
-            for (std::int32_t l = 0; l < lanes; ++l) {
-              oks[l] &= sc_.fok_minus[static_cast<std::size_t>(depb + l)];
-              vals[l] = std::min(
-                  vals[l],
-                  (1.0 -
-                   ap * sc_.f_minus[static_cast<std::size_t>(depb + l)]) /
-                      as);  // (7)
-            }
-          }
-          for (std::int32_t l = 0; l < lanes; ++l) {
-            if (!(vals[l] >= 0.0)) oks[l] = 0;  // condition (8)
-            sc_.f_plus[static_cast<std::size_t>(base + l)] = vals[l];
-            sc_.fok_plus[static_cast<std::size_t>(base + l)] = oks[l];
-          }
-          continue;
-        }
-        // Partial mask: scalar chain per marked lane (same arc order).
-        for (std::int32_t l = 0; l < lanes; ++l) {
-          if ((mask & (1u << l)) == 0) continue;
-          double val = std::numeric_limits<double>::infinity();
-          std::uint8_t ok = 1;
-          for (std::int64_t j = sc_.arc_offsets[static_cast<std::size_t>(s)];
-               j < sc_.arc_offsets[static_cast<std::size_t>(s) + 1]; ++j) {
-            const std::int32_t ps =
-                sc_.origin2slot[static_cast<std::size_t>(
-                    sc_.arc_partner[static_cast<std::size_t>(j)])];
-            const std::int64_t dep = at(ps, d - 1) * kLanes + l;
-            ok &= sc_.fok_minus[static_cast<std::size_t>(dep)];
-            val = std::min(
-                val, (1.0 - sc_.arc_a_partner[static_cast<std::size_t>(j)] *
-                                sc_.f_minus[static_cast<std::size_t>(dep)]) /
-                         sc_.arc_a_self[static_cast<std::size_t>(j)]);  // (7)
-          }
-          if (!(val >= 0.0)) ok = 0;  // condition (8)
-          sc_.f_plus[static_cast<std::size_t>(base + l)] = val;
-          sc_.fok_plus[static_cast<std::size_t>(base + l)] = ok;
-        }
-      }
-      auto& minus_bucket = sc_.fbucket_minus[static_cast<std::size_t>(d)];
-      for (const std::int32_t s : minus_bucket) {
-        const std::uint8_t mask =
-            sc_.fmark_minus[static_cast<std::size_t>(at(s, d))];
-        const std::int64_t base = at(s, d) * kLanes;
-        evals += std::popcount(static_cast<unsigned>(mask));
-        if (mask == full) {
-          double sums[kLanes];
-          std::uint8_t oks[kLanes];
-          for (std::int32_t l = 0; l < lanes; ++l) {
-            sums[l] = 0.0;
-            oks[l] = 1;
-          }
-          for (std::int64_t j = sc_.sib_offsets[static_cast<std::size_t>(s)];
-               j < sc_.sib_offsets[static_cast<std::size_t>(s) + 1]; ++j) {
-            const std::int32_t ws = sc_.origin2slot[static_cast<std::size_t>(
-                sc_.sib_origin[static_cast<std::size_t>(j)])];
-            const std::int64_t depb = at(ws, d) * kLanes;
-            for (std::int32_t l = 0; l < lanes; ++l) {
-              sums[l] += sc_.f_plus[static_cast<std::size_t>(depb + l)];
-              oks[l] &= sc_.fok_plus[static_cast<std::size_t>(depb + l)];
-            }
-          }
-          for (std::int32_t l = 0; l < lanes; ++l) {
-            sc_.f_minus[static_cast<std::size_t>(base + l)] =
-                std::max(0.0, lane_omega[l] - sums[l]);  // (6)
-            sc_.fok_minus[static_cast<std::size_t>(base + l)] = oks[l];
-          }
-          continue;
-        }
-        for (std::int32_t l = 0; l < lanes; ++l) {
-          if ((mask & (1u << l)) == 0) continue;
-          double sum = 0.0;
-          std::uint8_t ok = 1;
-          for (std::int64_t j = sc_.sib_offsets[static_cast<std::size_t>(s)];
-               j < sc_.sib_offsets[static_cast<std::size_t>(s) + 1]; ++j) {
-            const std::int32_t ws = sc_.origin2slot[static_cast<std::size_t>(
-                sc_.sib_origin[static_cast<std::size_t>(j)])];
-            const std::int64_t dep = at(ws, d) * kLanes + l;
-            sum += sc_.f_plus[static_cast<std::size_t>(dep)];
-            ok &= sc_.fok_plus[static_cast<std::size_t>(dep)];
-          }
-          sc_.f_minus[static_cast<std::size_t>(base + l)] =
-              std::max(0.0, lane_omega[l] - sum);  // (6)
-          sc_.fok_minus[static_cast<std::size_t>(base + l)] = ok;
-        }
-      }
-    }
-    if (stats_ != nullptr) stats_->f_evals += evals;
-    // Unmark via the buckets (O(touched), not O(table)).
-    for (std::int32_t d = 0; d <= r_; ++d) {
-      for (const std::int32_t s : sc_.fbucket_plus[static_cast<std::size_t>(d)])
-        sc_.fmark_plus[static_cast<std::size_t>(at(s, d))] = 0;
-      for (const std::int32_t s :
-           sc_.fbucket_minus[static_cast<std::size_t>(d)])
-        sc_.fmark_minus[static_cast<std::size_t>(at(s, d))] = 0;
-      sc_.fbucket_plus[static_cast<std::size_t>(d)].clear();
-      sc_.fbucket_minus[static_cast<std::size_t>(d)].clear();
-    }
-  }
-
-  // Marks state (slot, d, ±) as needed by lane `bit` and recurses into its
-  // dependencies.  A state enters its bucket on FIRST marking only; later
-  // lanes just OR their bit in, but must still recurse -- their cone may
-  // extend past states another lane already marked.
-  void mark_f_plus(std::int32_t slot, std::int32_t d, std::uint8_t bit) {
-    auto& mark = sc_.fmark_plus[static_cast<std::size_t>(at(slot, d))];
-    if (mark & bit) return;
-    if (mark == 0) sc_.fbucket_plus[static_cast<std::size_t>(d)].push_back(slot);
-    mark |= bit;
-    if (d == 0) {
-      use_cap(slot);
-      return;
-    }
-    use_arcs(slot);
-    for (std::int64_t j = sc_.arc_offsets[static_cast<std::size_t>(slot)];
-         j < sc_.arc_offsets[static_cast<std::size_t>(slot) + 1]; ++j) {
-      mark_f_minus(slot_of(sc_.arc_partner[static_cast<std::size_t>(j)]),
-                   d - 1, bit);
-    }
-  }
-
-  void mark_f_minus(std::int32_t slot, std::int32_t d, std::uint8_t bit) {
-    auto& mark = sc_.fmark_minus[static_cast<std::size_t>(at(slot, d))];
-    if (mark & bit) return;
-    if (mark == 0)
-      sc_.fbucket_minus[static_cast<std::size_t>(d)].push_back(slot);
-    mark |= bit;
-    use_sibs(slot);
-    for (std::int64_t j = sc_.sib_offsets[static_cast<std::size_t>(slot)];
-         j < sc_.sib_offsets[static_cast<std::size_t>(slot) + 1]; ++j) {
-      mark_f_plus(slot_of(sc_.sib_origin[static_cast<std::size_t>(j)]), d, bit);
+      const double t = detail::bisect_t(
+          Slices(*this), sc_.slot_origin[static_cast<std::size_t>(slot)], r_,
+          opt_);
+      sc_.t_val[static_cast<std::size_t>(slot)] = t;
     }
   }
 
@@ -1174,7 +865,7 @@ class DpViewEvaluator {
 
   void run_smoothing_and_t() {
     collect_smoothing_balls();
-    run_t_searches();
+    compute_t_values();
     // s_v = min t over the stored radius-(4r+2) ball (§5.3).
     for (std::size_t i = 0; i < sc_.s_list.size(); ++i) {
       double s = std::numeric_limits<double>::infinity();
@@ -1202,14 +893,13 @@ class DpViewEvaluator {
           val = std::numeric_limits<double>::infinity();
           for (std::int64_t j = sc_.arc_offsets[static_cast<std::size_t>(s)];
                j < sc_.arc_offsets[static_cast<std::size_t>(s) + 1]; ++j) {
+            const ConstraintArc& arc = sc_.arcs[static_cast<std::size_t>(j)];
             const std::int32_t ps =
-                sc_.origin2slot[static_cast<std::size_t>(
-                    sc_.arc_partner[static_cast<std::size_t>(j)])];
+                sc_.origin2slot[static_cast<std::size_t>(arc.partner)];
             val = std::min(
-                val, (1.0 - sc_.arc_a_partner[static_cast<std::size_t>(j)] *
-                                sc_.g_minus[static_cast<std::size_t>(
-                                    at(ps, d - 1))]) /
-                         sc_.arc_a_self[static_cast<std::size_t>(j)]);  // (14)
+                val, (1.0 - arc.a_partner * sc_.g_minus[static_cast<std::size_t>(
+                                                at(ps, d - 1))]) /
+                         arc.a_self);  // (14)
           }
         }
         sc_.g_plus[static_cast<std::size_t>(at(s, d))] = val;

@@ -13,15 +13,14 @@
 //   * ViewEngine::kMemoizedDp (default) -- an iterative, memoized, bottom-up
 //     dynamic program over the *shared structure* of the view tree.  Every
 //     §5 quantity is position-independent (Example 2 of the paper), so all
-//     copies of a G-node share one table row: f± and g± live in flat tables
-//     indexed by (origin slot) * (r+1) + d; each probed omega fills its
-//     tables in one reverse-topological sweep (depth-major buckets), the
-//     t-searches of all agents of an s-ball run batched against shared
-//     omega-tables (searches whose next probe coincides share one sweep),
-//     and all scratch storage is reused across agents via ViewEvalScratch.
-//     Total work is polynomial in the number of *distinct* G-nodes the view
-//     projects to -- never exponential in r, even though the view tree
-//     itself grows like Delta^D.
+//     copies of a G-node share one origin slot: the DP harvests each slot's
+//     adjacency once, runs engine C's live-set bisection
+//     (core/t_search.hpp) over those slices for every t it needs, and fills
+//     g± in flat tables indexed by (origin slot) * (r+1) + d in one
+//     depth-major sweep; all scratch storage is reused across agents via
+//     ViewEvalScratch.  Total work is polynomial in the number of
+//     *distinct* G-nodes the view projects to -- never exponential in r,
+//     even though the view tree itself grows like Delta^D.
 //
 //   * ViewEngine::kNaive -- the literal tree-recursive transcription of the
 //     paper's recursions, kept as the differential-testing oracle.  It

@@ -6,7 +6,6 @@
 
 #include "core/view_solver.hpp"
 #include "dist/wire.hpp"
-#include "graph/view_tree.hpp"
 #include "support/hash.hpp"
 
 namespace locmm {
@@ -218,9 +217,7 @@ FaultTolerantResult run_fault_tolerant(SyncNetwork& net, const FaultPlan& plan,
   const std::int32_t num_agents = g.num_agents();
   res.x.assign(static_cast<std::size_t>(num_agents), 0.0);
   res.degraded.assign(static_cast<std::size_t>(num_agents), 0);
-  const std::int32_t D = view_radius(R);
   ViewEvalScratch scratch;
-  ViewTree view;
   for (std::int32_t v = 0; v < num_agents; ++v) {
     const NodeId node = g.agent_node(v);
     const auto svn = static_cast<std::size_t>(node);
@@ -229,13 +226,12 @@ FaultTolerantResult run_fault_tolerant(SyncNetwork& net, const FaultPlan& plan,
       // Unrecoverable cone: the agent's true in-network value consumed a
       // message no retransmit could restore (or flowed through a node that
       // never came back).  Degrade to the engine-L evaluation of its
-      // radius-D(R) ball -- the centrally-assisted fallback a deployment
-      // runs for a dead sensor's neighbourhood.  Identical to engine M's
-      // own value; within ~1 ulp of engine S's.
+      // radius-D(R) ball, read off the graph -- the centrally-assisted
+      // fallback a deployment runs for a dead sensor's neighbourhood.
+      // Bitwise the value engines M and S compute fault-free.
       res.degraded[sv] = 1;
       ++res.degraded_agents;
-      ViewTree::build_into(g, node, D, view);
-      res.x[sv] = solve_agent_from_view(view, R, opt, &scratch);
+      res.x[sv] = solve_agent_on_graph(g, v, R, opt, &scratch);
       continue;
     }
     const std::int64_t slot = executed_slot[svn];

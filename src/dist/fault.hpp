@@ -159,8 +159,8 @@ bool message_well_formed(const Message& m);
 struct FaultTolerantResult {
   // Per-agent outputs.  An un-degraded agent's value is bitwise identical
   // to the fault-free run of the same engine; a degraded agent's value is
-  // the engine-L evaluation of its radius-D(R) ball (== engine M exactly,
-  // ~1 ulp from engine S).
+  // the engine-L evaluation of its radius-D(R) ball, read off the graph
+  // (bitwise the fault-free value of engines M and S).
   std::vector<double> x;
   std::vector<std::uint8_t> degraded;  // per agent; 1 = inside a lost cone
   // Faulty run + recovery replay, merged: messages == fresh + replayed

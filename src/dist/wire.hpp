@@ -13,8 +13,9 @@
 // The checksum is frame_checksum() over every byte that precedes it, so any
 // single-bit corruption -- header, count, payload, or the checksum field
 // itself -- lands in covered content.  Coefficients travel as raw bit
-// patterns: distinct NaN encodings stay distinct through encode, decode and
-// checksum (payload_bits semantics, not arithmetic equality).
+// patterns, and the checksum folds those bit patterns: distinct NaN
+// encodings and the two zeros stay distinct through encode, decode and
+// checksum (bitwise, not arithmetic, equality).
 //
 // decode_message_frame is the delivery-boundary validator: it rejects
 // truncated frames, trailing garbage, unknown kinds, checksum mismatches,

@@ -7,7 +7,6 @@
 // finalizer as the mixer.  Nothing here is cryptographic.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 
 namespace locmm {
@@ -25,14 +24,6 @@ inline std::uint64_t mix64(std::uint64_t x) {
 inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
   return mix64(seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) +
                        (seed >> 2)));
-}
-
-// Raw bit pattern of a double, -0.0 kept distinct from +0.0.  This is the
-// fold for *wire checksums* (dist/fault.hpp: message_checksum), where the
-// sign of zero is a payload bit like any other and a single-bit corruption
-// must always change the digest.
-inline std::uint64_t payload_bits(double c) {
-  return std::bit_cast<std::uint64_t>(c);
 }
 
 }  // namespace locmm

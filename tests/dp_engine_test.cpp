@@ -4,10 +4,12 @@
 //     instances the DP engine must reproduce the naive recursive oracle
 //     (ViewEngine::kNaive, the literal transcription of recursions (5)-(14))
 //     and engine C (solve_special_centralized) bitwise;
+//   * one t search -- engine L's t at the root of a view is engine C's
+//     compute_t_single, bit for bit and count for count;
 //   * complexity -- the instrumentation hook (TSearchOptions::stats) must
-//     certify that the DP engine visits O(view_size * r) states per omega
-//     sweep, i.e. the exponential re-expansion of the naive recursion is
-//     actually gone, not just faster by a constant.
+//     certify that the DP engine visits O(view_size * r) states per
+//     condition check, i.e. the exponential re-expansion of the naive
+//     recursion is actually gone, not just faster by a constant.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -148,6 +150,41 @@ TEST(DpEngine, TRootMatchesNaive) {
   }
 }
 
+TEST(DpEngine, TRootSearchIsEngineCs) {
+  // Engine L bisects through engine C's search: on the agent's
+  // radius-(4r+3) view it must build the same cone and probe the same
+  // omegas, so the bits and every operation count agree.
+  const MaxMinInstance regular = regular_special_instance(
+      {.num_objectives = 4, .delta_k = 3, .constraints_per_agent = 2,
+       .coeff_lo = 0.5, .coeff_hi = 2.0},
+      7);
+  const MaxMinInstance random = random_special_form({}, 5);
+  for (const MaxMinInstance* inst : {&regular, &random}) {
+    const SpecialFormInstance sf(*inst);
+    const CommGraph g(*inst);
+    for (std::int32_t r : {0, 1, 2}) {
+      for (AgentId v = 0; v < inst->num_agents(); ++v) {
+        const ViewTree view = ViewTree::build(g, g.agent_node(v), 4 * r + 3);
+        TSearchStats l_stats;
+        TSearchOptions l_opt;
+        l_opt.stats = &l_stats;
+        TSearchStats c_stats;
+        TSearchOptions c_opt;
+        c_opt.stats = &c_stats;
+        const double tl = t_root_from_view(view, r, l_opt);
+        const double tc = compute_t_single(sf, v, r, c_opt);
+        EXPECT_TRUE(same_bits(tl, tc)) << "agent " << v << " r=" << r;
+        EXPECT_EQ(l_stats.t_searches.load(), c_stats.t_searches.load())
+            << "agent " << v << " r=" << r;
+        EXPECT_EQ(l_stats.t_checks.load(), c_stats.t_checks.load())
+            << "agent " << v << " r=" << r;
+        EXPECT_EQ(l_stats.f_evals.load(), c_stats.f_evals.load())
+            << "agent " << v << " r=" << r;
+      }
+    }
+  }
+}
+
 TEST(DpEngine, ScratchReuseAcrossHeterogeneousViews) {
   // One scratch object across views of different instances and radii: the
   // reset path must fully clear per-evaluation state.
@@ -173,10 +210,10 @@ TEST(DpEngine, ScratchReuseAcrossHeterogeneousViews) {
 }
 
 TEST(DpEngine, VisitedStatesLinearInViewSizeTimesR) {
-  // The complexity certificate: per omega sweep the DP engine evaluates
-  // each (agent-node, depth, +/-) state at most once, so across a whole
-  // evaluation   f_evals <= omega_sweeps * 2 * view_size * (r+1)
-  // and          g_evals <= 2 * view_size * (r+1).
+  // The complexity certificate: per condition check the DP engine
+  // evaluates each (agent-node, depth, +/-) state at most once, so across a
+  // whole evaluation   f_evals <= t_checks * 2 * view_size * (r+1)
+  // and                g_evals <= 2 * view_size * (r+1).
   // The naive engine violates the per-evaluation bound by orders of
   // magnitude on branching instances (asserted below), which is exactly
   // the exponential-vs-polynomial separation this PR removes.
@@ -195,14 +232,11 @@ TEST(DpEngine, VisitedStatesLinearInViewSizeTimesR) {
   dp_opt.stats = &dp_stats;
   const double xd = solve_agent_from_view(view, R, dp_opt);
 
-  const std::int64_t sweeps = dp_stats.omega_sweeps.load();
-  ASSERT_GT(sweeps, 0);
-  // Each sweep is one bottom-up pass over (a subset of) the marked cone.
-  EXPECT_LE(dp_stats.f_evals.load(), sweeps * 2 * view_size * (r + 1));
+  const std::int64_t checks = dp_stats.t_checks.load();
+  ASSERT_GT(checks, 0);
+  // Each check evaluates (a subset of) one t search's cone.
+  EXPECT_LE(dp_stats.f_evals.load(), checks * 2 * view_size * (r + 1));
   EXPECT_LE(dp_stats.g_evals.load(), 2 * view_size * (r + 1));
-  // Batching: searches whose next probe coincides share one sweep, so a
-  // whole evaluation runs far fewer sweeps than condition checks.
-  EXPECT_LT(sweeps, dp_stats.t_checks.load());
 
   TSearchStats naive_stats;
   TSearchOptions naive_opt;

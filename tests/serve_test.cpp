@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
@@ -651,8 +652,8 @@ struct ChaosConfig {
 // Each worker thread owns one tenant and drives a randomized stream of
 // valid, malformed and (optionally) deadline-pressured batches, interleaved
 // with queries; a per-tenant scratch IncrementalSolver replays exactly the
-// accepted batches as the oracle.  After the storm: repair, then every
-// committed value must be bit-identical to the oracle.  No exception may
+// accepted batches as the oracle, each on its own thread.  After the storm:
+// repair, then every committed value must be bit-identical to the oracle.  No exception may
 // escape the service boundary (gtest would fail the thread).
 void run_chaos(const ChaosConfig& cfg) {
   SolverService svc;
@@ -722,8 +723,19 @@ void run_chaos(const ChaosConfig& cfg) {
   }
   for (std::thread& w : workers) w.join();
 
-  // Repair every queue (deadline-pressured tenants still hold batches),
-  // then compare against scratch solvers fed the accepted streams.
+  // Scratch solvers replay the accepted streams, one thread per tenant,
+  // while the service repairs every queue (deadline-pressured tenants still
+  // hold batches); the comparisons then run here.
+  std::vector<std::future<std::vector<double>>> oracles;
+  for (int t = 0; t < cfg.tenants; ++t) {
+    oracles.push_back(std::async(std::launch::async, [&, t] {
+      IncrementalSolver oracle(bases[static_cast<std::size_t>(t)]);
+      for (const InstanceDelta& d : accepted[static_cast<std::size_t>(t)]) {
+        oracle.apply(d);
+      }
+      return oracle.x();
+    }));
+  }
   svc.repair_idle();
   for (int t = 0; t < cfg.tenants; ++t) {
     TenantStats st;
@@ -731,15 +743,13 @@ void run_chaos(const ChaosConfig& cfg) {
     EXPECT_EQ(st.queued_batches, 0) << names[static_cast<std::size_t>(t)];
     EXPECT_EQ(st.internal_errors, 0) << names[static_cast<std::size_t>(t)];
 
-    IncrementalSolver oracle(bases[static_cast<std::size_t>(t)]);
-    for (const InstanceDelta& d : accepted[static_cast<std::size_t>(t)]) {
-      oracle.apply(d);
-    }
+    const std::vector<double> want =
+        oracles[static_cast<std::size_t>(t)].get();
     const std::vector<double> got =
         committed_x(svc, names[static_cast<std::size_t>(t)],
                     bases[static_cast<std::size_t>(t)].num_agents());
     for (std::size_t v = 0; v < got.size(); ++v) {
-      ASSERT_TRUE(same_bits(got[v], oracle.x()[v]))
+      ASSERT_TRUE(same_bits(got[v], want[v]))
           << names[static_cast<std::size_t>(t)] << " agent " << v;
     }
     QueryResult q;

@@ -6,6 +6,7 @@
 #include "dist/gather.hpp"
 #include "dist/streaming.hpp"
 #include "gen/generators.hpp"
+#include "scratch_oracle.hpp"
 
 namespace locmm {
 namespace {
@@ -16,8 +17,10 @@ void expect_s_equals_c(const MaxMinInstance& special, std::int32_t R) {
   const StreamingRunResult s = solve_special_streaming(special, R);
   EXPECT_EQ(s.stats.rounds, streaming_rounds(R));
   ASSERT_EQ(s.x.size(), c.x.size());
-  for (std::size_t v = 0; v < s.x.size(); ++v)
-    EXPECT_NEAR(s.x[v], c.x[v], 1e-12) << "agent " << v << " R=" << R;
+  for (std::size_t v = 0; v < s.x.size(); ++v) {
+    EXPECT_TRUE(testing::same_bits(s.x[v], c.x[v]))
+        << "agent " << v << " R=" << R << ": " << s.x[v] << " vs " << c.x[v];
+  }
 }
 
 TEST(Streaming, RoundSchedule) {

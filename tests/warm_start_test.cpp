@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/view_solver.hpp"
 #include "dynamic/incremental_solver.hpp"
 #include "gen/generators.hpp"
 #include "lp/delta.hpp"
@@ -181,17 +180,6 @@ TEST(WarmStart, CountersFlowIntoTSearchStats) {
       << "one bisection per cone agent, none elsewhere";
   EXPECT_EQ(stats.g_evals.load(), 2 * dirty * (opt.R - 1));
   EXPECT_GT(recomputed, 0);
-
-  // Engine L's SoA sweeps on the same torus: randomized coefficients give
-  // the batched bisections distinct probe omegas, so multi-lane fills must
-  // have happened -- and omega_sweeps keeps its per-distinct-omega meaning,
-  // so it dominates the chunk count.
-  TSearchStats l_stats;
-  TSearchOptions l_opt;
-  l_opt.stats = &l_stats;
-  solve_special_local_views(inc.special().instance(), opt.R, l_opt);
-  EXPECT_GT(l_stats.vector_sweeps.load(), 0);
-  EXPECT_GT(l_stats.omega_sweeps.load(), l_stats.vector_sweeps.load());
 }
 
 }  // namespace
