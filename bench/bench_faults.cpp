@@ -65,7 +65,7 @@ RunResult run_row(const MaxMinInstance& inst, bool streaming, std::int32_t R,
   {
     Timer t;
     if (streaming) {
-      StreamingRunResult clean = solve_special_streaming(inst, R);
+      MessageRunResult clean = solve_special_streaming(inst, R);
       clean_x = std::move(clean.x);
       clean_messages = clean.stats.messages;
     } else {
@@ -83,7 +83,7 @@ RunResult run_row(const MaxMinInstance& inst, bool streaming, std::int32_t R,
   {
     Timer t;
     if (streaming) {
-      StreamingRunResult run =
+      MessageRunResult run =
           solve_special_streaming(inst, R, {}, 1, &plan);
       x = std::move(run.x);
       degraded = std::move(run.degraded);

@@ -6,8 +6,8 @@
 #                           bytes, max message size -- byte columns are
 #                           measured off the real wire codec since PR 10,
 #                           not modeled) plus the E8d cross-process rows
-#                           (engine M forked onto 2 ranks over shm rings and
-#                           sockets, present in --smoke too)
+#                           (engine M forked onto 2 ranks over shm rings,
+#                           present in --smoke too)
 #   BENCH_dynamics.json     incremental (dirty-ball) vs scratch engine-C
 #                           re-solve after single-coefficient edits (E9),
 #                           with per-phase timings, the distributed replay

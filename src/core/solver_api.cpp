@@ -119,20 +119,14 @@ LocalSolution solve_local(const MaxMinInstance& inst,
       sol.t_min_special = t_min_via_cone(sf, params);
       break;
     }
-    case LocalEngine::kMessagePassing: {
-      MessageRunResult run = solve_special_message_passing(
-          pipeline.special, params.R, params.t_search, params.threads,
-          params.faults);
-      sol.x_special = std::move(run.x);
-      sol.net_stats = run.stats;
-      sol.degraded_special = std::move(run.degraded);
-      sol.t_min_special = t_min_via_cone(sf, params);
-      break;
-    }
+    case LocalEngine::kMessagePassing:
     case LocalEngine::kStreaming: {
-      StreamingRunResult run = solve_special_streaming(
-          pipeline.special, params.R, params.t_search, params.threads,
-          params.faults);
+      const auto solve = params.engine == LocalEngine::kMessagePassing
+                             ? solve_special_message_passing
+                             : solve_special_streaming;
+      MessageRunResult run =
+          solve(pipeline.special, params.R, params.t_search, params.threads,
+                params.faults, DistOptions{});
       sol.x_special = std::move(run.x);
       sol.net_stats = run.stats;
       sol.degraded_special = std::move(run.degraded);
@@ -292,23 +286,21 @@ const LocalSolution& LocalResolver::resolve(const InstanceDelta& delta) {
   // inst_.apply was admitted above, pipeline_.special is bitwise equal to
   // the solver's instance so the same mapped delta applies, and the stats,
   // gamma fold and solution patch are pure writes.
-  if (params_.map_structural_deltas) {
-    const std::optional<MappedDelta> mapped =
-        pipeline_.id_map.map_delta(delta, inst_);
-    if (mapped.has_value()) {
-      inc_->apply(mapped->special);
-      orig_stats_.forget(inst_, delta);
-      special_stats_.forget(pipeline_.special, mapped->special);
-      inst_.apply(delta);
-      pipeline_.special.apply(mapped->special);
-      orig_stats_.count(inst_, delta);
-      special_stats_.count(pipeline_.special, mapped->special);
-      pipeline_.id_map.apply_gamma_updates(*mapped);
-      last_was_delta_ = true;
-      sol_.net_stats = inc_->last_update().net;
-      patch_solution(*mapped, delta);
-      return sol_;
-    }
+  if (const std::optional<MappedDelta> mapped =
+          pipeline_.id_map.map_delta(delta, inst_);
+      mapped.has_value()) {
+    inc_->apply(mapped->special);
+    orig_stats_.forget(inst_, delta);
+    special_stats_.forget(pipeline_.special, mapped->special);
+    inst_.apply(delta);
+    pipeline_.special.apply(mapped->special);
+    orig_stats_.count(inst_, delta);
+    special_stats_.count(pipeline_.special, mapped->special);
+    pipeline_.id_map.apply_gamma_updates(*mapped);
+    last_was_delta_ = true;
+    sol_.net_stats = inc_->last_update().net;
+    patch_solution(*mapped, delta);
+    return sol_;
   }
 
   // Strong guarantee for deeper failures too: snapshot the members a failed

@@ -44,14 +44,6 @@ struct LocalParams {
   LocalEngine engine = LocalEngine::kCentralized;
   TSearchOptions t_search = {};
   std::size_t threads = 1;  // 0 = all hardware threads
-  // LocalResolver only: route resolve() deltas through the pipeline's
-  // persistent id map (PipelineIdMap::map_delta) whenever the edit meets
-  // the fast-path conditions, turning an original-instance membership edit
-  // into an O(ball) special-form delta with NO pipeline re-run.  Off, every
-  // delta takes the legacy re-pipeline + diff / re-initialise path -- the
-  // differential oracle the tests and benches compare the fast path
-  // against.  Solutions are bitwise identical either way.
-  bool map_structural_deltas = true;
   // Optional seeded fault-injection scenario (dist/fault.hpp; not owned,
   // must outlive the call).  Engines M / S only: the distributed run (or
   // LocalResolver's distributed cold solve) executes under the scenario
@@ -109,8 +101,7 @@ LocalSolution solve_local(const MaxMinInstance& inst,
 // resolve(delta) then applies an edit batch addressed against the ORIGINAL
 // instance and re-solves at dirty-ball cost.  Three tiers, tried in order:
 //
-//   * id-map fast path (LocalParams::map_structural_deltas, the default):
-//     the pipeline's persistent old-id -> new-id map
+//   * id-map fast path: the pipeline's persistent old-id -> new-id map
 //     (transform.hpp: PipelineIdMap) translates the batch -- membership
 //     add/remove AND coefficient edits alike -- straight into a special-form
 //     delta whenever every touched id provably leaves the §4 numbering
@@ -165,10 +156,9 @@ class LocalResolver {
   // Whether the last resolve() fed the IncrementalSolver a special-form
   // delta -- the id-map fast path (structural or coefficient edits inside
   // its conditions) or the re-pipeline + diff path -- as opposed to
-  // re-initialising against a renumbered pipeline.  With
-  // map_structural_deltas, membership edits on id-stable regions report
-  // true; only numbering-shifting edits (gadget-adjacent rows, |Kv|
-  // changes, splits) fall back to false.
+  // re-initialising against a renumbered pipeline.  Membership edits on
+  // id-stable regions report true; only numbering-shifting edits
+  // (gadget-adjacent rows, |Kv| changes, splits) fall back to false.
   bool last_resolve_was_delta() const { return last_was_delta_; }
 
   // Original agents whose x entry the last resolve() mapped back: the

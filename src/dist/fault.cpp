@@ -1,11 +1,9 @@
 #include "dist/fault.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "core/view_solver.hpp"
-#include "dist/wire.hpp"
 #include "support/hash.hpp"
 
 namespace locmm {
@@ -109,18 +107,8 @@ const CrashEvent* FaultPlan::crash_at(NodeId node, std::int32_t round) const {
 }
 
 // ---------------------------------------------------------------------------
-// Checksums and the delivery-boundary validation.
+// The delivery-boundary validation.
 // ---------------------------------------------------------------------------
-
-std::uint64_t message_checksum(const Message& m) {
-  // The checksum *is* the one the codec stamps into the frame: encode and
-  // read the trailing field back, so this function can never drift from
-  // what the transports verify on receive.  kNone encodes to zero bytes and
-  // checksums as the empty frame.
-  const std::vector<std::uint8_t> frame = encode_message(m);
-  if (frame.empty()) return frame_checksum({});
-  return load_le(frame.data() + frame.size() - 8, 8);
-}
 
 bool wire_view_well_formed(std::span<const WireNode> blob) {
   if (blob.empty()) return false;
@@ -157,25 +145,16 @@ bool wire_view_well_formed(std::span<const WireNode> blob) {
   return stack.size() == 1;
 }
 
-bool message_well_formed(const Message& m) {
-  switch (m.kind) {
-    case Message::Kind::kNone: return m.view.empty();
-    case Message::Kind::kScalar: return m.view.empty();
-    case Message::Kind::kView: return wire_view_well_formed(m.view);
-  }
-  return false;  // corrupted kind byte
-}
-
 // ---------------------------------------------------------------------------
-// run_fault_tolerant -- injection, recovery, degradation.
+// run_fault_tolerant -- injection, recovery, degradation -- and run_engine.
 // ---------------------------------------------------------------------------
 
-FaultTolerantResult run_fault_tolerant(SyncNetwork& net, const FaultPlan& plan,
-                                       const SyncNetwork::ProgramFactory& make,
-                                       std::int32_t schedule_rounds,
-                                       std::int32_t R,
-                                       const TSearchOptions& opt) {
+MessageRunResult run_fault_tolerant(SyncNetwork& net, const FaultPlan* plan,
+                                    const SyncNetwork::ProgramFactory& make,
+                                    std::int32_t rounds, std::int32_t R,
+                                    const TSearchOptions& opt, bool record) {
   LOCMM_CHECK_MSG(R >= 2, "R must be >= 2");
+  if (plan != nullptr && !plan->any_faults()) plan = nullptr;
   const CommGraph& g = net.graph();
   const auto sn = static_cast<std::size_t>(g.num_nodes());
 
@@ -183,9 +162,9 @@ FaultTolerantResult run_fault_tolerant(SyncNetwork& net, const FaultPlan& plan,
   programs.reserve(sn);
   for (NodeId u = 0; u < g.num_nodes(); ++u) programs.push_back(make(u));
 
-  FaultTolerantResult res;
+  MessageRunResult res;
   FaultOutcome fo;
-  res.stats = net.run_under_faults(programs, plan, schedule_rounds, fo);
+  res.stats = net.run(programs, rounds, record, plan, &fo);
 
   // Recovery: the frozen cone re-executes through the recorded history on a
   // fault-free control channel.  replay() serves the clean region from
@@ -216,7 +195,8 @@ FaultTolerantResult run_fault_tolerant(SyncNetwork& net, const FaultPlan& plan,
 
   const std::int32_t num_agents = g.num_agents();
   res.x.assign(static_cast<std::size_t>(num_agents), 0.0);
-  res.degraded.assign(static_cast<std::size_t>(num_agents), 0);
+  if (plan != nullptr)
+    res.degraded.assign(static_cast<std::size_t>(num_agents), 0);
   ViewEvalScratch scratch;
   for (std::int32_t v = 0; v < num_agents; ++v) {
     const NodeId node = g.agent_node(v);
@@ -242,6 +222,22 @@ FaultTolerantResult run_fault_tolerant(SyncNetwork& net, const FaultPlan& plan,
   }
   res.fully_recovered = res.degraded_agents == 0;
   return res;
+}
+
+MessageRunResult run_engine(const MaxMinInstance& special,
+                            const SyncNetwork::ProgramFactory& make,
+                            std::int32_t rounds, std::int32_t R,
+                            const TSearchOptions& opt, std::size_t threads,
+                            const FaultPlan* faults, const DistOptions& dist) {
+  const CommGraph g(special);
+  if (dist.transport != TransportKind::kInProcess) {
+    LOCMM_CHECK_MSG(faults == nullptr,
+                    "fault injection is in-process only (the recovery replay "
+                    "needs the full history in one address space)");
+    return run_multiprocess(g, make, rounds, special.num_agents(), dist);
+  }
+  SyncNetwork net(g, threads);
+  return run_fault_tolerant(net, faults, make, rounds, R, opt);
 }
 
 }  // namespace locmm

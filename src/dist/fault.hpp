@@ -19,10 +19,11 @@
 //   detect    corruption operates on real bytes: the injector flips one bit
 //             of the *encoded frame* (dist/wire.hpp corrupt_frame_detectably,
 //             seeded by FaultPlan::corruption_bits), and every delivery is
-//             guarded by the real decoder -- frame checksum plus the
-//             structural validation (wire_view_well_formed) that subsumes
-//             the CHECK-protected invariants of the receive path downstream
-//             (gather blob splicing, streaming scalar kinds).  A corrupted
+//             guarded by the real decoder (decode_message_frame) -- frame
+//             checksum plus the structural validation
+//             (wire_view_well_formed) that subsumes the CHECK-protected
+//             invariants of the receive path downstream (gather blob
+//             splicing, streaming scalar kinds).  A corrupted
 //             frame is rejected at the delivery boundary -- counted and
 //             retransmit-requested -- and never reaches a NodeProgram.
 //             Deliveries are watermarked by (round, port): a duplicate of
@@ -33,8 +34,8 @@
 //   recover   lost and rejected messages trigger bounded retransmission:
 //             extra sub-rounds within the synchronous round where only the
 //             affected (sender, port) edges re-send, up to
-//             FaultSpec::max_retransmits attempts (SyncNetwork::
-//             run_under_faults).  A node that crashes -- or exhausts its
+//             FaultSpec::max_retransmits attempts (SyncNetwork::run with a
+//             plan).  A node that crashes -- or exhausts its
 //             retransmit budget on some inbound slot -- freezes: it stops
 //             acting, and its silence taints neighbours outward at speed 1
 //             (exactly the light cone of the synchronous model).  After the
@@ -66,6 +67,7 @@
 
 #include "core/upper_bound.hpp"
 #include "dist/message_passing.hpp"
+#include "dist/transport.hpp"
 
 namespace locmm {
 
@@ -129,16 +131,6 @@ class FaultPlan {
   FaultSpec spec_;
 };
 
-// 64-bit content checksum of a message: exactly the checksum field the wire
-// codec stamps into the message's encoded frame (dist/wire.hpp
-// frame_checksum over the frame's pre-checksum bytes), so it covers every
-// bit that actually travels -- kind byte, node count, packed headers and
-// raw coefficient bits (all NaN encodings checksum distinctly).  Any
-// single-bit corruption of the real frame changes it, up to a 64-bit digest
-// collision the injector regenerates away (asserted exhaustively by the
-// tests).  kNone messages (never transmitted) checksum as the empty frame.
-std::uint64_t message_checksum(const Message& m);
-
 // Structural validity of a preorder view blob, checked without touching the
 // CHECK-protected splice path: one subtree exactly (the reverse-preorder
 // stack fold of ViewAssembler must consume every node and leave one root),
@@ -147,42 +139,36 @@ std::uint64_t message_checksum(const Message& m);
 // because nothing malformed can get past this predicate at delivery time.
 bool wire_view_well_formed(std::span<const WireNode> blob);
 
-// Full delivery-boundary validation: a known kind, and a well-formed blob
-// for view messages.
-bool message_well_formed(const Message& m);
-
 // (The corruption primitive itself lives with the codec: dist/wire.hpp
 // corrupt_frame / corrupt_frame_detectably flip bits of the encoded frame,
 // seeded by FaultPlan::corruption_bits.)
 
-// The outcome of a fault-tolerant engine run (see run_fault_tolerant).
-struct FaultTolerantResult {
-  // Per-agent outputs.  An un-degraded agent's value is bitwise identical
-  // to the fault-free run of the same engine; a degraded agent's value is
-  // the engine-L evaluation of its radius-D(R) ball, read off the graph
-  // (bitwise the fault-free value of engines M and S).
-  std::vector<double> x;
-  std::vector<std::uint8_t> degraded;  // per agent; 1 = inside a lost cone
-  // Faulty run + recovery replay, merged: messages == fresh + replayed
-  // still holds, with the fault counters sitting on top.
-  RunStats stats;
-  std::int64_t recovered_nodes = 0;  // nodes re-executed by the recovery
-  std::int64_t degraded_agents = 0;
-  bool fully_recovered = true;  // no agent degraded
-};
+// Runs `rounds` rounds of the engine whose per-node programs `make` builds
+// (engine M: view_radius(R) rounds; engine S: streaming_rounds(R)) and
+// reads the agents' outputs off them.  A null `plan`, or one that injects
+// no fault, is a plain run (recorded when `record` is set).  Under a plan
+// the run records, then recovers: frozen nodes' cones re-execute through
+// net.replay() on the recorded history, agents inside an unrecoverable cone
+// fall back to engine L and are flagged.  The network is left with a
+// recorded history that is bit-identical to a fault-free recorded run
+// whenever recovery fully succeeded -- so dynamic replays can keep building
+// on it (dynamic/incremental_solver.hpp relies on this).
+MessageRunResult run_fault_tolerant(SyncNetwork& net, const FaultPlan* plan,
+                                    const SyncNetwork::ProgramFactory& make,
+                                    std::int32_t rounds, std::int32_t R,
+                                    const TSearchOptions& opt = {},
+                                    bool record = false);
 
-// Runs `schedule_rounds` rounds of the engine whose per-node programs
-// `make` builds (engine M: view_radius(R) rounds; engine S:
-// streaming_rounds(R)) under `plan`, then recovers: frozen nodes' cones
-// re-execute through net.replay() on the recorded history, agents inside an
-// unrecoverable cone fall back to engine L and are flagged.  The network is
-// left with a recorded history that is bit-identical to a fault-free
-// recorded run whenever recovery fully succeeded -- so dynamic replays can
-// keep building on it (dynamic/incremental_solver.hpp relies on this).
-FaultTolerantResult run_fault_tolerant(SyncNetwork& net, const FaultPlan& plan,
-                                       const SyncNetwork::ProgramFactory& make,
-                                       std::int32_t schedule_rounds,
-                                       std::int32_t R,
-                                       const TSearchOptions& opt = {});
+// The one entry point engines M and S run through: `rounds` rounds of the
+// programs `make` builds on special's communication graph -- forked onto
+// dist.ranks processes (run_multiprocess) when `dist` crosses processes,
+// otherwise in process on `threads` threads (run_fault_tolerant, under
+// `faults` when given).  Fault injection is in-process only: the recovery
+// replay needs the full history in one address space.
+MessageRunResult run_engine(const MaxMinInstance& special,
+                            const SyncNetwork::ProgramFactory& make,
+                            std::int32_t rounds, std::int32_t R,
+                            const TSearchOptions& opt, std::size_t threads,
+                            const FaultPlan* faults, const DistOptions& dist);
 
 }  // namespace locmm

@@ -196,7 +196,7 @@ void ViewGatherCore::receive(std::int32_t round,
     const Message& m = inbox[static_cast<std::size_t>(q)];
     // Internal invariant, not a fault boundary: corrupted or missing
     // inbound messages are rejected (and retransmit-requested) at delivery
-    // time by the checksum / well-formedness guard of run_under_faults
+    // time by the decoder guarding SyncNetwork::run under a FaultPlan
     // (dist/fault.hpp), and a node whose inbox stayed incomplete is frozen
     // before its receive runs -- so a wrong kind here means a broken
     // engine, never a network fault, and aborting is right.
@@ -263,46 +263,11 @@ MessageRunResult solve_special_message_passing(const MaxMinInstance& special,
                                                const FaultPlan* faults,
                                                const DistOptions& dist) {
   LOCMM_CHECK(R >= 2);
-  const CommGraph g(special);
   const std::int32_t D = view_radius(R);
-
-  MessageRunResult res;
-  if (dist.transport != TransportKind::kInProcess) {
-    LOCMM_CHECK_MSG(faults == nullptr,
-                    "fault injection is in-process only (the recovery replay "
-                    "needs the full history in one address space)");
-    MultiprocessResult mp = run_multiprocess(
-        g, [&](NodeId) { return std::make_unique<GatherProgram>(D, R, opt); },
-        D, special.num_agents(), dist);
-    res.x = std::move(mp.x);
-    res.stats = mp.stats;
-    return res;
-  }
-  SyncNetwork net(g, threads);
-  if (faults != nullptr && faults->any_faults()) {
-    FaultTolerantResult ft = run_fault_tolerant(
-        net, *faults,
-        [&](NodeId) { return std::make_unique<GatherProgram>(D, R, opt); }, D,
-        R, opt);
-    res.x = std::move(ft.x);
-    res.stats = ft.stats;
-    res.degraded = std::move(ft.degraded);
-    return res;
-  }
-
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId u = 0; u < g.num_nodes(); ++u)
-    programs.push_back(std::make_unique<GatherProgram>(D, R, opt));
-
-  res.stats = net.run(programs);
-  res.x.resize(static_cast<std::size_t>(special.num_agents()));
-  for (AgentId v = 0; v < special.num_agents(); ++v) {
-    const auto* prog = static_cast<const GatherProgram*>(
-        programs[static_cast<std::size_t>(g.agent_node(v))].get());
-    res.x[static_cast<std::size_t>(v)] = prog->x();
-  }
-  return res;
+  return run_engine(
+      special,
+      [&](NodeId) { return std::make_unique<GatherProgram>(D, R, opt); }, D,
+      R, opt, threads, faults, dist);
 }
 
 }  // namespace locmm

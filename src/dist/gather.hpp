@@ -106,27 +106,18 @@ class GatherProgram final : public AgentNodeProgram {
   bool done_ = false;
 };
 
-struct MessageRunResult {
-  std::vector<double> x;  // per-agent outputs, == engine C's (tested)
-  RunStats stats;         // rounds = view_radius(R), independent of n
-  // Per-agent degradation flags from a faulty run (dist/fault.hpp): empty
-  // without fault injection; under faults, 1 marks agents whose value fell
-  // back to the local engine-L evaluation because their dependency cone was
-  // unrecoverable.  Un-flagged agents are bitwise fault-free.
-  std::vector<std::uint8_t> degraded;
-};
-
 // Runs engine M on a special-form instance: view_radius(R) gathering rounds,
-// then every agent evaluates its gathered view.  threads: 1 = serial
-// (default), 0 = all hardware threads; the output is bitwise independent of
-// the thread count.  `faults` (optional, not owned) injects the given
-// seeded fault scenario and runs detection / retransmission / degradation
-// on top (dist/fault.hpp): with full recovery the outputs are bitwise
-// identical to the fault-free run.  `dist` selects the transport: the
-// default runs the in-process SyncNetwork; a cross-process transport forks
-// dist.ranks processes and ships encoded frames (dist/transport.hpp) --
-// bitwise identical outputs and identical stats, tested.  Fault injection
-// is in-process only (faults must be nullptr when ranks cross processes).
+// then every agent evaluates its gathered view (one run_engine call,
+// dist/fault.hpp).  threads: 1 = serial (default), 0 = all hardware
+// threads; the output is bitwise independent of the thread count.
+// `faults` (optional, not owned) injects the given seeded fault scenario
+// and runs detection / retransmission / degradation on top
+// (dist/fault.hpp): with full recovery the outputs are bitwise identical to
+// the fault-free run.  `dist` selects the transport: the default runs the
+// in-process SyncNetwork; the shared-memory transport forks dist.ranks
+// processes and ships encoded frames (dist/transport.hpp) -- bitwise
+// identical outputs and identical stats, tested.  Fault injection is
+// in-process only (faults must be nullptr when ranks cross processes).
 MessageRunResult solve_special_message_passing(const MaxMinInstance& special,
                                                std::int32_t R,
                                                const TSearchOptions& opt = {},

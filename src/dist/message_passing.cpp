@@ -46,32 +46,52 @@ void SyncNetwork::refresh_topology() {
   }
 }
 
-LocalInput SyncNetwork::local_input(NodeId node) const {
-  LOCMM_CHECK(node >= 0 && node < g_.num_nodes());
+LocalInput local_input(const CommGraph& g, NodeId node) {
+  LOCMM_CHECK(node >= 0 && node < g.num_nodes());
   LocalInput in;
-  in.type = g_.type(node);
-  in.degree = g_.degree(node);
+  in.type = g.type(node);
+  in.degree = g.degree(node);
   in.constraint_degree =
-      in.type == NodeType::kAgent ? g_.constraint_degree(node) : 0;
+      in.type == NodeType::kAgent ? g.constraint_degree(node) : 0;
   in.coeffs.reserve(static_cast<std::size_t>(in.degree));
-  for (const HalfEdge& e : g_.neighbors(node)) in.coeffs.push_back(e.coeff);
+  for (const HalfEdge& e : g.neighbors(node)) in.coeffs.push_back(e.coeff);
   return in;
 }
 
 RunStats SyncNetwork::run(std::vector<std::unique_ptr<NodeProgram>>& programs,
-                          std::int32_t max_rounds, bool record) {
+                          std::int32_t rounds, bool record,
+                          const FaultPlan* plan, FaultOutcome* out) {
   const NodeId n = g_.num_nodes();
   LOCMM_CHECK_MSG(static_cast<NodeId>(programs.size()) == n,
                   "need one program per node: " << programs.size() << " vs "
                                                 << n);
+  LOCMM_CHECK_MSG(rounds >= 1, "run needs the schedule length (the engines' "
+                               "round counts); got " << rounds);
+  LOCMM_CHECK_MSG(plan == nullptr || out != nullptr,
+                  "a run under a FaultPlan reports a FaultOutcome");
+  if (plan != nullptr) {
+    for (const CrashEvent& ev : plan->spec().crashes)
+      LOCMM_CHECK_MSG(ev.node >= 0 && ev.node < n,
+                      "crash schedule names node " << ev.node
+                          << " outside [0, " << n << ")");
+  }
   const auto sn = static_cast<std::size_t>(n);
+
+  // A faulty run always records: the recovery replay re-executes against
+  // this history.
+  record = record || plan != nullptr;
   if (record) {
     history_.assign(sn, {});
     recorded_rounds_ = 0;
   }
+  FaultOutcome local;
+  FaultOutcome& fo = out != nullptr ? *out : local;
+  fo.sent_through.assign(sn, FaultOutcome::kNeverFrozen);
+  fo.lost.assign(sn, 0);
+  fo.frozen.clear();
 
   parallel_for(sn, threads_, [&](std::size_t u) {
-    programs[u]->init(local_input(static_cast<NodeId>(u)));
+    programs[u]->init(local_input(g_, static_cast<NodeId>(u)));
   });
 
   // Per-node outboxes and inboxes, reused across rounds.  Every inbox is
@@ -83,29 +103,47 @@ RunStats SyncNetwork::run(std::vector<std::unique_ptr<NodeProgram>>& programs,
     inbox[u].resize(
         static_cast<std::size_t>(g_.degree(static_cast<NodeId>(u))));
 
+  // A delivery the wire refused (dropped, or rejected by the decoder): the
+  // sender's outbox still holds the message, so retransmission is just
+  // another delivery of the same slot.
+  struct Pending {
+    std::size_t from;
+    std::size_t port;
+    std::size_t to;
+    std::size_t to_port;
+  };
+  std::vector<Pending> pending, still_pending;
+  std::vector<std::int32_t> delivered(sn, 0);
+  std::vector<std::uint8_t> corrupted_frame;
+
   RunStats stats;
-  for (;;) {
-    bool all_halted = true;
-    for (std::size_t u = 0; u < sn; ++u) {
-      if (!programs[u]->halted()) {
-        all_halted = false;
-        break;
+  for (std::int32_t round = 1; round <= rounds; ++round) {
+    stats.rounds = round;
+
+    // Crash onset: a node scheduled to crash this round dies before its
+    // send.  A never-restarting crash is unrecoverable: the node is lost,
+    // and everything its silence taints below inherits that.
+    if (plan != nullptr) {
+      for (const CrashEvent& ev : plan->spec().crashes) {
+        if (ev.round != round) continue;
+        const auto u = static_cast<std::size_t>(ev.node);
+        if (fo.sent_through[u] != FaultOutcome::kNeverFrozen) continue;
+        fo.sent_through[u] = round - 1;
+        if (ev.restart_round < 0) fo.lost[u] = 1;
+        fo.frozen.push_back(ev.node);
       }
     }
-    if (all_halted) break;
-    LOCMM_CHECK_MSG(stats.rounds < max_rounds,
-                    "SyncNetwork: no convergence after " << max_rounds
-                                                         << " rounds");
-    const std::int32_t round = ++stats.rounds;
 
-    // Send phase: halted nodes stay silent; everyone else contributes one
-    // message per port (or an empty vector for a silent round).  Recording
-    // encodes the outbox into its history row right here, before delivery
-    // gets to move the messages out -- per-node rows, so workers share no
-    // write target.
+    // Send phase: halted and frozen nodes stay silent; everyone else
+    // contributes one message per port (or an empty vector for a silent
+    // round).  Recording encodes the outbox into its history row right
+    // here, before delivery gets to move the messages out -- per-node rows,
+    // so workers share no write target.  The rows hold what each node
+    // truly sent (faults below only touch wire copies), exactly what the
+    // recovery replay depends on.
     parallel_for(sn, threads_, [&](std::size_t u) {
       outbox[u].clear();
-      if (!programs[u]->halted()) {
+      if (fo.sent_through[u] >= round && !programs[u]->halted()) {
         outbox[u] = programs[u]->send(round);
         LOCMM_CHECK_MSG(
             outbox[u].empty() ||
@@ -124,10 +162,13 @@ RunStats SyncNetwork::run(std::vector<std::unique_ptr<NodeProgram>>& programs,
     // Delivery: the message leaving port p of u arrives at u's neighbour on
     // the port leading back to u -- the same back_port resolution the view
     // unfolding uses, so gathered and directly-built views agree port for
-    // port.  Accounting happens here: only actually-sent (non-kNone)
-    // messages count.
+    // port.  Only actually-sent (non-kNone) messages count; messages /
+    // bytes count wire transmissions, so every retransmit below counts
+    // again.
     for (std::size_t u = 0; u < sn; ++u)
       for (Message& m : inbox[u]) m.kind = Message::Kind::kNone;
+    std::fill(delivered.begin(), delivered.end(), 0);
+    pending.clear();
     for (std::size_t u = 0; u < sn; ++u) {
       if (outbox[u].empty()) continue;
       const auto neigh = g_.neighbors(static_cast<NodeId>(u));
@@ -138,140 +179,24 @@ RunStats SyncNetwork::run(std::vector<std::unique_ptr<NodeProgram>>& programs,
         ++stats.messages;
         stats.bytes += sz;
         stats.max_message_bytes = std::max(stats.max_message_bytes, sz);
-        const NodeId to = neigh[p].to;
-        const std::int32_t q = back_ports_[static_cast<std::size_t>(
-            edge_offsets_[u] + static_cast<std::int64_t>(p))];
-        // The history row was encoded at send time, so delivery always gets
-        // to move (the old Message-typed history forced a copy here).
-        inbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(q)] =
-            std::move(m);
-      }
-    }
-
-    // Receive phase.
-    parallel_for(sn, threads_, [&](std::size_t u) {
-      if (programs[u]->halted()) return;
-      programs[u]->receive(round, std::span<const Message>(inbox[u]));
-    });
-  }
-  stats.fresh_messages = stats.messages;
-  stats.fresh_bytes = stats.bytes;
-  if (record) recorded_rounds_ = stats.rounds;
-  return stats;
-}
-
-RunStats SyncNetwork::run_under_faults(
-    std::vector<std::unique_ptr<NodeProgram>>& programs, const FaultPlan& plan,
-    std::int32_t schedule_rounds, FaultOutcome& out) {
-  const NodeId n = g_.num_nodes();
-  LOCMM_CHECK_MSG(static_cast<NodeId>(programs.size()) == n,
-                  "need one program per node: " << programs.size() << " vs "
-                                                << n);
-  LOCMM_CHECK_MSG(schedule_rounds >= 1,
-                  "run_under_faults needs a fixed schedule length (the "
-                  "engines' round counts); got " << schedule_rounds);
-  for (const CrashEvent& ev : plan.spec().crashes)
-    LOCMM_CHECK_MSG(ev.node >= 0 && ev.node < n,
-                    "crash schedule names node " << ev.node
-                        << " outside [0, " << n << ")");
-  const auto sn = static_cast<std::size_t>(n);
-
-  // Always record: the recovery replay re-executes against this history.
-  history_.assign(sn, {});
-  recorded_rounds_ = 0;
-  out.sent_through.assign(sn, FaultOutcome::kNeverFrozen);
-  out.lost.assign(sn, 0);
-  out.frozen.clear();
-
-  parallel_for(sn, threads_, [&](std::size_t u) {
-    programs[u]->init(local_input(static_cast<NodeId>(u)));
-  });
-
-  std::vector<std::vector<Message>> outbox(sn);
-  std::vector<std::vector<Message>> inbox(sn);
-  for (std::size_t u = 0; u < sn; ++u)
-    inbox[u].resize(
-        static_cast<std::size_t>(g_.degree(static_cast<NodeId>(u))));
-
-  // A delivery the wire refused (dropped, or rejected by the checksum /
-  // well-formedness guard): the sender's outbox still holds the message, so
-  // retransmission is just another delivery of the same slot.
-  struct Pending {
-    std::size_t from;
-    std::size_t port;
-    std::size_t to;
-    std::size_t to_port;
-  };
-  std::vector<Pending> pending, still_pending;
-  std::vector<std::int32_t> delivered(sn, 0);
-  std::vector<std::uint8_t> corrupted_frame;
-
-  RunStats stats;
-  for (std::int32_t round = 1; round <= schedule_rounds; ++round) {
-    stats.rounds = round;
-
-    // Crash onset: a node scheduled to crash this round dies before its
-    // send.  A never-restarting crash is unrecoverable: the node is lost,
-    // and everything its silence taints below inherits that.
-    for (const CrashEvent& ev : plan.spec().crashes) {
-      if (ev.round != round) continue;
-      const auto u = static_cast<std::size_t>(ev.node);
-      if (out.sent_through[u] != FaultOutcome::kNeverFrozen) continue;
-      out.sent_through[u] = round - 1;
-      if (ev.restart_round < 0) out.lost[u] = 1;
-      out.frozen.push_back(ev.node);
-    }
-
-    // Send phase: frozen nodes are silent, everyone else behaves as in
-    // run().  The FaultPlan is pure, so consulting it from workers later is
-    // order-independent.  History rows encode here -- they hold what each
-    // node truly sent (faults below only touch wire copies), exactly what
-    // the recovery replay depends on.
-    parallel_for(sn, threads_, [&](std::size_t u) {
-      outbox[u].clear();
-      if (out.sent_through[u] >= round && !programs[u]->halted()) {
-        outbox[u] = programs[u]->send(round);
-        LOCMM_CHECK_MSG(
-            outbox[u].empty() ||
-                static_cast<std::int32_t>(outbox[u].size()) ==
-                    g_.degree(static_cast<NodeId>(u)),
-            "send() must return one message per port or nothing: got "
-                << outbox[u].size() << " for degree "
-                << g_.degree(static_cast<NodeId>(u)));
-      }
-      history_[u].emplace_back();
-      encode_outbox(outbox[u], history_[u].back());
-    });
-
-    for (std::size_t u = 0; u < sn; ++u)
-      for (Message& m : inbox[u]) m.kind = Message::Kind::kNone;
-    std::fill(delivered.begin(), delivered.end(), 0);
-    pending.clear();
-
-    // Delivery, first attempt.  Accounting matches run(): messages / bytes
-    // count wire transmissions, so every retransmit below counts again.
-    for (std::size_t u = 0; u < sn; ++u) {
-      if (outbox[u].empty()) continue;
-      const auto neigh = g_.neighbors(static_cast<NodeId>(u));
-      for (std::size_t p = 0; p < outbox[u].size(); ++p) {
-        const Message& m = outbox[u][p];
-        if (m.kind == Message::Kind::kNone) continue;
-        const std::int64_t sz = m.byte_size();
-        ++stats.messages;
-        stats.bytes += sz;
-        stats.max_message_bytes = std::max(stats.max_message_bytes, sz);
         const auto to = static_cast<std::size_t>(neigh[p].to);
         const auto to_port = static_cast<std::size_t>(
             back_ports_[static_cast<std::size_t>(
                 edge_offsets_[u] + static_cast<std::int64_t>(p))]);
+        if (plan == nullptr) {
+          // The history row was encoded at send time, so a fault-free
+          // delivery gets to move.
+          inbox[to][to_port] = std::move(m);
+          continue;
+        }
         const auto from_node = static_cast<NodeId>(u);
         const auto port = static_cast<std::int32_t>(p);
-        if (plan.drops(round, from_node, port, 0)) {
+        if (plan->drops(round, from_node, port, 0)) {
           ++stats.dropped_messages;
           pending.push_back({u, p, to, to_port});
           continue;
         }
-        if (plan.corrupts(round, from_node, port, 0)) {
+        if (plan->corrupts(round, from_node, port, 0)) {
           // The wire flips one bit of the *encoded frame* (taken from the
           // history row the send phase just wrote); the delivery guard --
           // the real decoder -- must catch it.  Every frame bit is
@@ -282,11 +207,10 @@ RunStats SyncNetwork::run_under_faults(
           // so nothing corrupted can reach a NodeProgram (whose
           // receive-path CHECKs stay internal invariants, not a fault
           // boundary).
-          const auto f = history_[u].back().frame(static_cast<std::int32_t>(p));
+          const auto f = history_[u].back().frame(port);
           corrupted_frame.assign(f.begin(), f.end());
-          corrupt_frame_detectably(corrupted_frame,
-                                   plan.corruption_bits(round, from_node,
-                                                        port));
+          corrupt_frame_detectably(
+              corrupted_frame, plan->corruption_bits(round, from_node, port));
           Message rejected;
           LOCMM_CHECK_MSG(
               decode_message_frame(corrupted_frame, rejected) !=
@@ -296,55 +220,59 @@ RunStats SyncNetwork::run_under_faults(
           pending.push_back({u, p, to, to_port});
           continue;
         }
+        // Under a plan the outbox must survive delivery: retransmits read
+        // it.
         inbox[to][to_port] = m;
         ++delivered[to];
-        if (plan.duplicates(round, from_node, port)) {
-          // The copy carries the same (round, port) watermark as the
-          // original and is discarded on arrival -- the port-indexed inbox
-          // is position-addressed, so nothing can double up.
+        // A duplicate carries the same (round, port) watermark as the
+        // original and is discarded on arrival -- the port-indexed inbox is
+        // position-addressed, so nothing can double up.
+        if (plan->duplicates(round, from_node, port))
           ++stats.duplicated_messages;
-        }
       }
     }
 
-    // Reordering within the round: also absorbed by position addressing
-    // (slots are port-, not arrival-, indexed), but counted as observed.
-    for (std::size_t u = 0; u < sn; ++u)
-      if (delivered[u] >= 2 && plan.reorders(round, static_cast<NodeId>(u)))
-        stats.reordered_messages += delivered[u];
+    if (plan != nullptr) {
+      // Reordering within the round: also absorbed by position addressing
+      // (slots are port-, not arrival-, indexed), but counted as observed.
+      for (std::size_t u = 0; u < sn; ++u)
+        if (delivered[u] >= 2 &&
+            plan->reorders(round, static_cast<NodeId>(u)))
+          stats.reordered_messages += delivered[u];
 
-    // Retransmit sub-rounds: only the failed edges re-send, up to
-    // max_retransmits extra attempts, each one an extra synchronous
-    // sub-round of the schedule (the timeout/backoff of a real transport,
-    // collapsed to its round-count cost).
-    for (std::int32_t attempt = 1;
-         !pending.empty() && attempt <= plan.spec().max_retransmits;
-         ++attempt) {
-      ++stats.recovery_rounds;
-      still_pending.clear();
-      for (const Pending& pe : pending) {
-        const Message& m = outbox[pe.from][pe.port];
-        const std::int64_t sz = m.byte_size();
-        ++stats.messages;
-        stats.bytes += sz;
-        ++stats.retransmitted_messages;
-        stats.retransmitted_bytes += sz;
-        const auto from_node = static_cast<NodeId>(pe.from);
-        const auto port = static_cast<std::int32_t>(pe.port);
-        if (plan.drops(round, from_node, port, attempt)) {
-          ++stats.dropped_messages;
-          still_pending.push_back(pe);
-          continue;
+      // Retransmit sub-rounds: only the failed edges re-send, up to
+      // max_retransmits extra attempts, each one an extra synchronous
+      // sub-round of the schedule (the timeout/backoff of a real transport,
+      // collapsed to its round-count cost).
+      for (std::int32_t attempt = 1;
+           !pending.empty() && attempt <= plan->spec().max_retransmits;
+           ++attempt) {
+        ++stats.recovery_rounds;
+        still_pending.clear();
+        for (const Pending& pe : pending) {
+          const Message& m = outbox[pe.from][pe.port];
+          const std::int64_t sz = m.byte_size();
+          ++stats.messages;
+          stats.bytes += sz;
+          ++stats.retransmitted_messages;
+          stats.retransmitted_bytes += sz;
+          const auto from_node = static_cast<NodeId>(pe.from);
+          const auto port = static_cast<std::int32_t>(pe.port);
+          if (plan->drops(round, from_node, port, attempt)) {
+            ++stats.dropped_messages;
+            still_pending.push_back(pe);
+            continue;
+          }
+          if (plan->corrupts(round, from_node, port, attempt)) {
+            ++stats.corrupted_messages;
+            still_pending.push_back(pe);
+            continue;
+          }
+          inbox[pe.to][pe.to_port] = m;
+          ++stats.recovered_messages;
         }
-        if (plan.corrupts(round, from_node, port, attempt)) {
-          ++stats.corrupted_messages;
-          still_pending.push_back(pe);
-          continue;
-        }
-        inbox[pe.to][pe.to_port] = m;
-        ++stats.recovered_messages;
+        pending.swap(still_pending);
       }
-      pending.swap(still_pending);
     }
 
     // Budget exhausted: nothing inside the schedule can restore a message
@@ -354,12 +282,12 @@ RunStats SyncNetwork::run_under_faults(
     // an unrecoverable channel never carried.
     for (const Pending& pe : pending) {
       ++stats.unrecovered_slots;
-      auto& st = out.sent_through[pe.to];
+      auto& st = fo.sent_through[pe.to];
       if (st == FaultOutcome::kNeverFrozen) {
         st = round;
-        out.frozen.push_back(static_cast<NodeId>(pe.to));
+        fo.frozen.push_back(static_cast<NodeId>(pe.to));
       }
-      out.lost[pe.to] = 1;
+      fo.lost[pe.to] = 1;
     }
 
     // Taint propagation, one step per round -- the speed-1 light cone of
@@ -369,18 +297,18 @@ RunStats SyncNetwork::run_under_faults(
     // the silent node might have sent nothing on this edge anyway.)  Nodes
     // appended here have sent_through == round, so the `< round` guard
     // keeps them from propagating further until the next round.
-    for (std::size_t i = 0; i < out.frozen.size(); ++i) {
-      const NodeId u = out.frozen[i];
+    for (std::size_t i = 0; i < fo.frozen.size(); ++i) {
+      const NodeId u = fo.frozen[i];
       const auto su = static_cast<std::size_t>(u);
-      if (out.sent_through[su] >= round) continue;
+      if (fo.sent_through[su] >= round) continue;
       for (const HalfEdge& e : g_.neighbors(u)) {
         const auto w = static_cast<std::size_t>(e.to);
-        if (out.sent_through[w] == FaultOutcome::kNeverFrozen) {
-          out.sent_through[w] = round;
-          out.frozen.push_back(e.to);
+        if (fo.sent_through[w] == FaultOutcome::kNeverFrozen) {
+          fo.sent_through[w] = round;
+          fo.frozen.push_back(e.to);
         }
-        if (out.sent_through[w] >= round)
-          out.lost[w] = static_cast<std::uint8_t>(out.lost[w] | out.lost[su]);
+        if (fo.sent_through[w] >= round)
+          fo.lost[w] = static_cast<std::uint8_t>(fo.lost[w] | fo.lost[su]);
       }
     }
 
@@ -388,22 +316,21 @@ RunStats SyncNetwork::run_under_faults(
     // has a complete, validated inbox -- anything less froze it above --
     // so executed programs march through bitwise fault-free state.
     parallel_for(sn, threads_, [&](std::size_t u) {
-      if (out.sent_through[u] != FaultOutcome::kNeverFrozen) return;
+      if (fo.sent_through[u] != FaultOutcome::kNeverFrozen) return;
       if (programs[u]->halted()) return;
       programs[u]->receive(round, std::span<const Message>(inbox[u]));
     });
   }
 
-  recorded_rounds_ = schedule_rounds;
+  for (std::size_t u = 0; u < sn; ++u) {
+    if (fo.sent_through[u] != FaultOutcome::kNeverFrozen) continue;
+    LOCMM_CHECK_MSG(programs[u]->halted(),
+                    "node " << u << " did not halt within the " << rounds
+                            << "-round schedule");
+  }
+  if (record) recorded_rounds_ = rounds;
   stats.fresh_messages = stats.messages;
   stats.fresh_bytes = stats.bytes;
-  for (std::size_t u = 0; u < sn; ++u) {
-    if (out.sent_through[u] != FaultOutcome::kNeverFrozen) continue;
-    LOCMM_CHECK_MSG(programs[u]->halted(),
-                    "run_under_faults: node "
-                        << u << " did not halt within the "
-                        << schedule_rounds << "-round schedule");
-  }
   return stats;
 }
 
@@ -508,7 +435,7 @@ SyncNetwork::ReplayResult SyncNetwork::replay(
       const NodeId u = act[i];
       res.programs[base + i] = make(u);
       NodeProgram& prog = *res.programs[base + i];
-      prog.init(local_input(u));
+      prog.init(local_input(g_, u));
       for (std::int32_t j = 1; j < round && !prog.halted(); ++j) {
         assemble_inbox(u, j, activation, inboxes[base + i], acc[base + i]);
         prog.receive(j, std::span<const Message>(inboxes[base + i]));

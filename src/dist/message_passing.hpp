@@ -28,16 +28,18 @@
 // Dynamic mode (paper §1.3): a local algorithm is automatically a
 // *distributed dynamic* one -- after an edit, only nodes within the
 // radius-D(R) ball of the touched edges need to act, and in the
-// message-passing model only they need to re-send.  run(..., record=true)
-// persists every node's per-round outbox; replay(dirty_seeds, ...) then
-// re-executes the recorded schedule with the edited graph, activating a
-// node u at round dist(u, dirty) + 1 -- the first round at which u's
-// inbound dependency cone can intersect the edit -- and serving every other
-// delivery from the cached history.  Determinism of NodeProgram makes this
-// exact: a node's round-k message is a pure function of its local input and
-// its inbox history through round k-1, all of which is untouched outside
-// the ball, so cached and freshly-recomputed messages agree bit for bit
-// (asserted by tests/dynamic_dist_test.cpp against from-scratch runs).
+// message-passing model only they need to re-send.  A recorded run
+// (run(programs, rounds, /*record=*/true); the engines get there through
+// run_fault_tolerant, dist/fault.hpp) persists every node's per-round
+// outbox; replay(dirty_seeds, ...) then re-executes the recorded schedule
+// with the edited graph, activating a node u at round dist(u, dirty) + 1
+// -- the first round at which u's inbound dependency cone can intersect
+// the edit -- and serving every other delivery from the cached history.
+// Determinism of NodeProgram makes this exact: a node's round-k message is
+// a pure function of its local input and its inbox history through round
+// k-1, all of which is untouched outside the ball, so cached and
+// freshly-recomputed messages agree bit for bit (asserted by
+// tests/dynamic_dist_test.cpp against from-scratch runs).
 #pragma once
 
 #include <cstdint>
@@ -119,6 +121,10 @@ struct LocalInput {
   std::vector<double> coeffs;  // per port, size == degree
 };
 
+// The round-0 knowledge of `node` in `g` (see LocalInput): what every
+// scheduler, in process or forked, hands NodeProgram::init.
+LocalInput local_input(const CommGraph& g, NodeId node);
+
 // One node's program.  The scheduler drives rounds 1, 2, ...:
 //   send(round)          -> the outgoing messages, one per port (return an
 //                           empty vector to stay silent this round; a
@@ -127,8 +133,10 @@ struct LocalInput {
 //                           the receiving port (Kind::kNone where the
 //                           neighbour stayed silent);
 //   halted()             -> true once the node is done; a halted node no
-//                           longer sends or receives, and the run stops when
-//                           every node has halted.
+//                           longer sends or receives.  The schedule length
+//                           is fixed up front (view_radius(R),
+//                           streaming_rounds(R)), and every program must
+//                           have halted by its last round.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
@@ -159,15 +167,16 @@ class AgentNodeProgram : public NodeProgram {
 // replayed_messages and bytes == fresh_bytes + replayed_bytes, always;
 // max_message_bytes tracks fresh (wire) messages only.
 //
-// The fault block (all zero outside run_under_faults, see dist/fault.hpp)
-// counts what the injection layer did and what recovery cost.  messages /
-// bytes count every wire transmission, retransmits included, so
-// retransmitted_* is the recovery overhead *within* them; dropped /
-// corrupted count per failed attempt (a slot dropped three times counts
-// three); recovered_messages counts slots eventually delivered by a
-// retransmit, unrecovered_slots the ones abandoned to the degradation path
-// after max_retransmits; recovery_rounds is the number of extra retransmit
-// sub-rounds the schedule paid.
+// The fault block (all zero unless SyncNetwork::run was handed a
+// FaultPlan, see dist/fault.hpp) counts what the injection layer did and
+// what recovery cost.  messages / bytes count every wire transmission,
+// retransmits included, so retransmitted_* is the recovery overhead
+// *within* them; dropped / corrupted count per failed attempt (a slot
+// dropped three times counts three); recovered_messages counts slots
+// eventually delivered by a retransmit, unrecovered_slots the ones
+// abandoned to the degradation path after max_retransmits;
+// recovery_rounds is the number of extra retransmit sub-rounds the
+// schedule paid.
 struct RunStats {
   std::int32_t rounds = 0;
   std::int64_t messages = 0;
@@ -214,8 +223,9 @@ struct EncodedOutbox {
 
 class FaultPlan;  // dist/fault.hpp
 
-// What a run_under_faults left behind, beyond the stats: which nodes froze
-// (stopped participating) and which of them sit in an *unrecoverable* cone.
+// What a run under a FaultPlan left behind, beyond the stats: which nodes
+// froze (stopped participating) and which of them sit in an
+// *unrecoverable* cone.
 // A node freezes when it crashes, when one of its inbound slots exhausts
 // the retransmit budget, or -- transitively, at speed 1 -- when a
 // neighbour's silence makes its own round input incomplete: the synchronous
@@ -239,6 +249,27 @@ struct FaultOutcome {
   bool clean() const { return frozen.empty(); }
 };
 
+// The outcome of one engine-M or engine-S run, however it ran: in process,
+// under a fault plan, or forked onto ranks (dist/fault.hpp run_engine).
+struct MessageRunResult {
+  // Per-agent outputs, bitwise engine C's (tests/cross_engine_test.cpp).
+  // Under faults an un-degraded agent's value is bitwise the fault-free
+  // run's; a degraded agent's value is the engine-L evaluation of its
+  // radius-D(R) ball, read off the graph (bitwise the fault-free value too).
+  std::vector<double> x;
+  // rounds = the schedule length (view_radius(R) for engine M,
+  // streaming_rounds(R) for engine S), independent of n.  Under faults the
+  // faulty run and its recovery replay are merged: messages == fresh +
+  // replayed still holds, with the fault counters on top.
+  RunStats stats;
+  // Per agent, 1 = inside an unrecoverable cone (its value fell back to
+  // engine L).  Empty when no fault is injected.
+  std::vector<std::uint8_t> degraded;
+  std::int64_t recovered_nodes = 0;  // nodes re-executed by the recovery
+  std::int64_t degraded_agents = 0;
+  bool fully_recovered = true;  // no agent degraded
+};
+
 // The synchronous scheduler.  Owns no node state: programs are supplied per
 // run (one per CommGraph node, in node order).  threads: 1 = serial
 // (default; results are bitwise independent of the thread count either way
@@ -252,33 +283,28 @@ class SyncNetwork {
   SyncNetwork(const SyncNetwork&) = delete;
   SyncNetwork& operator=(const SyncNetwork&) = delete;
 
-  // The round-0 knowledge of `node` (see LocalInput).
-  LocalInput local_input(NodeId node) const;
-
-  // Runs rounds until every program halts (CHECK-fails after `max_rounds`
-  // as a runaway guard: the engines here halt after O(R) rounds).  Calls
-  // init on every program first.  With `record`, every node's per-round
-  // outbox is persisted as encoded wire frames (memory: one copy of the
-  // run's total traffic *at wire size*, ~2.5x below Message storage) so
-  // later replay() calls can serve clean nodes' messages from cache.
+  // Runs exactly `rounds` rounds -- the engine's schedule length -- and
+  // CHECK-fails unless every program that was not frozen has halted by
+  // then.  Calls init on every program first.  With `record`, every node's
+  // per-round outbox is persisted as encoded wire frames (memory: one copy
+  // of the run's total traffic *at wire size*, ~2.5x below Message
+  // storage) so later replay() calls can serve clean nodes' messages from
+  // cache.
+  //
+  // With a `plan` (dist/fault.hpp: drops, corruption, duplicates,
+  // reordering, crashes), delivery consults it and retransmits lost or
+  // rejected messages from the sender's outbox in bounded sub-rounds, and
+  // the run always records: the recovery replay re-executes against that
+  // history.  `out` (required with a plan) says which nodes froze and
+  // which are unrecoverable; every *executed* program received a complete,
+  // fault-free inbox in every round (anything less froze it first), so its
+  // state and its history rows are bitwise what a fault-free run would
+  // have produced.  Callers normally want run_fault_tolerant
+  // (dist/fault.hpp), which chains the recovery replay and the
+  // degradation fallback on top.
   RunStats run(std::vector<std::unique_ptr<NodeProgram>>& programs,
-               std::int32_t max_rounds = 1 << 20, bool record = false);
-
-  // Runs exactly `schedule_rounds` rounds with `plan` consulted at delivery
-  // time (dist/fault.hpp: drops, corruption, duplicates, reordering,
-  // crashes), retransmitting lost/rejected messages in bounded sub-rounds.
-  // Always records.  A fixed schedule length replaces the all-halted exit:
-  // the engines' programs halt at a known round, and a frozen region must
-  // not shorten the recorded history the recovery replay re-executes
-  // against.  On return, `out` says which nodes froze and which are
-  // unrecoverable; every *executed* program received a complete, fault-free
-  // inbox in every round (anything less froze it first), so its state and
-  // its history rows are bitwise what a fault-free run would have produced.
-  // Callers normally want run_fault_tolerant (dist/fault.hpp), which chains
-  // the recovery replay and the degradation fallback on top.
-  RunStats run_under_faults(std::vector<std::unique_ptr<NodeProgram>>& programs,
-                            const FaultPlan& plan,
-                            std::int32_t schedule_rounds, FaultOutcome& out);
+               std::int32_t rounds, bool record = false,
+               const FaultPlan* plan = nullptr, FaultOutcome* out = nullptr);
 
   // Whether a recorded history is available, and how many rounds it spans.
   bool has_history() const { return recorded_rounds_ > 0; }

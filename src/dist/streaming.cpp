@@ -141,8 +141,8 @@ class StreamingProgram final : public AgentNodeProgram {
 
     const Step st = classify(round);
     // The scalar-kind CHECKs below are internal invariants, not a fault
-    // boundary: run_under_faults (dist/fault.hpp) validates every delivery
-    // against its checksum and message_well_formed, retransmits rejected
+    // boundary: under a FaultPlan (dist/fault.hpp), SyncNetwork::run
+    // validates every delivery with the frame decoder, retransmits rejected
     // messages, and freezes a node before its receive whenever an inbound
     // slot stayed unserved -- so a wrong kind here means a broken engine
     // schedule, never a network fault, and aborting is right.
@@ -268,53 +268,17 @@ std::unique_ptr<AgentNodeProgram> make_streaming_program(
   return std::make_unique<StreamingProgram>(R - 2, opt);
 }
 
-StreamingRunResult solve_special_streaming(const MaxMinInstance& special,
-                                           std::int32_t R,
-                                           const TSearchOptions& opt,
-                                           std::size_t threads,
-                                           const FaultPlan* faults,
-                                           const DistOptions& dist) {
+MessageRunResult solve_special_streaming(const MaxMinInstance& special,
+                                         std::int32_t R,
+                                         const TSearchOptions& opt,
+                                         std::size_t threads,
+                                         const FaultPlan* faults,
+                                         const DistOptions& dist) {
   LOCMM_CHECK(R >= 2);
-  const CommGraph g(special);
-
-  StreamingRunResult res;
-  if (dist.transport != TransportKind::kInProcess) {
-    LOCMM_CHECK_MSG(faults == nullptr,
-                    "fault injection is in-process only (the recovery replay "
-                    "needs the full history in one address space)");
-    MultiprocessResult mp = run_multiprocess(
-        g,
-        [&](NodeId) { return std::make_unique<StreamingProgram>(R - 2, opt); },
-        streaming_rounds(R), special.num_agents(), dist);
-    res.x = std::move(mp.x);
-    res.stats = mp.stats;
-    return res;
-  }
-  SyncNetwork net(g, threads);
-  if (faults != nullptr && faults->any_faults()) {
-    FaultTolerantResult ft = run_fault_tolerant(
-        net, *faults,
-        [&](NodeId) { return std::make_unique<StreamingProgram>(R - 2, opt); },
-        streaming_rounds(R), R, opt);
-    res.x = std::move(ft.x);
-    res.stats = ft.stats;
-    res.degraded = std::move(ft.degraded);
-    return res;
-  }
-
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId u = 0; u < g.num_nodes(); ++u)
-    programs.push_back(std::make_unique<StreamingProgram>(R - 2, opt));
-
-  res.stats = net.run(programs);
-  res.x.resize(static_cast<std::size_t>(special.num_agents()));
-  for (AgentId v = 0; v < special.num_agents(); ++v) {
-    const auto* prog = static_cast<const StreamingProgram*>(
-        programs[static_cast<std::size_t>(g.agent_node(v))].get());
-    res.x[static_cast<std::size_t>(v)] = prog->x();
-  }
-  return res;
+  return run_engine(
+      special,
+      [&](NodeId) { return std::make_unique<StreamingProgram>(R - 2, opt); },
+      streaming_rounds(R), R, opt, threads, faults, dist);
 }
 
 }  // namespace locmm

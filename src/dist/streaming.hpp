@@ -58,29 +58,20 @@ std::int32_t streaming_rounds(std::int32_t R);
 std::unique_ptr<AgentNodeProgram> make_streaming_program(
     std::int32_t R, const TSearchOptions& opt = {});
 
-struct StreamingRunResult {
-  std::vector<double> x;  // per-agent outputs, == engine C's (tested)
-  RunStats stats;         // rounds = streaming_rounds(R), independent of n
-  // Per-agent degradation flags from a faulty run (dist/fault.hpp): empty
-  // without fault injection; under faults, 1 marks agents whose value fell
-  // back to the local engine-L evaluation because their dependency cone was
-  // unrecoverable.  Un-flagged agents are bitwise fault-free.
-  std::vector<std::uint8_t> degraded;
-};
-
-// Runs engine S on a special-form instance.  threads: 1 = serial (default),
-// 0 = all hardware threads; the output is bitwise independent of the thread
-// count.  `faults` (optional, not owned) injects the given seeded fault
-// scenario and runs detection / retransmission / degradation on top
-// (dist/fault.hpp): with full recovery the outputs are bitwise identical to
-// the fault-free run.  `dist` selects the transport exactly as in
-// solve_special_message_passing (cross-process transports fork dist.ranks
-// processes; faults must be nullptr there).
-StreamingRunResult solve_special_streaming(const MaxMinInstance& special,
-                                           std::int32_t R,
-                                           const TSearchOptions& opt = {},
-                                           std::size_t threads = 1,
-                                           const FaultPlan* faults = nullptr,
-                                           const DistOptions& dist = {});
+// Runs engine S on a special-form instance (one run_engine call,
+// dist/fault.hpp); result.stats.rounds = streaming_rounds(R).  threads:
+// 1 = serial (default), 0 = all hardware threads; the output is bitwise
+// independent of the thread count.  `faults` (optional, not owned) injects
+// the given seeded fault scenario and runs detection / retransmission /
+// degradation on top (dist/fault.hpp): with full recovery the outputs are
+// bitwise identical to the fault-free run.  `dist` selects the transport
+// exactly as in solve_special_message_passing (the shared-memory transport
+// forks dist.ranks processes; faults must be nullptr there).
+MessageRunResult solve_special_streaming(const MaxMinInstance& special,
+                                         std::int32_t R,
+                                         const TSearchOptions& opt = {},
+                                         std::size_t threads = 1,
+                                         const FaultPlan* faults = nullptr,
+                                         const DistOptions& dist = {});
 
 }  // namespace locmm

@@ -1,11 +1,9 @@
-// transport.cpp -- forked ranks, shared-memory rings, socket fallback (see
-// transport.hpp for the protocol and the conformance argument).
+// transport.cpp -- forked ranks over shared-memory rings (see transport.hpp
+// for the protocol and the conformance argument).
 #include "dist/transport.hpp"
 
-#include <fcntl.h>
 #include <sched.h>
 #include <sys/mman.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -54,8 +52,8 @@ class SharedMapping {
     LOCMM_CHECK_MSG(p != MAP_FAILED,
                     "mmap of " << bytes << " shared bytes failed (errno "
                                << errno << ")");
+    // MAP_ANONYMOUS pages arrive zero-filled (mmap(2)).
     base_ = static_cast<std::uint8_t*>(p);
-    std::memset(base_, 0, bytes);
   }
   ~SharedMapping() {
     if (base_ != nullptr) ::munmap(base_, bytes_);
@@ -117,49 +115,11 @@ struct RingView {
   }
 };
 
-// A rank's duplex link to one peer: two rings (shared memory) or one
-// bidirectional fd (socketpair).
+// A rank's duplex link to one peer: one ring each way.
 struct PeerLink {
-  // Shared-memory transport.
-  RingView out_ring;
-  RingView in_ring;
-  // Socket transport.
-  int fd = -1;
-
-  std::size_t write_some(const std::uint8_t* src, std::size_t n) {
-    if (fd < 0) return out_ring.write_some(src, n);
-    const ssize_t w = ::send(fd, src, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      LOCMM_CHECK_MSG(errno == EAGAIN || errno == EWOULDBLOCK,
-                      "socket send failed (errno " << errno << ")");
-      return 0;
-    }
-    return static_cast<std::size_t>(w);
-  }
-
-  std::size_t read_some(std::uint8_t* dst, std::size_t n, bool* eof) {
-    if (fd < 0) return in_ring.read_some(dst, n);
-    const ssize_t r = ::recv(fd, dst, n, 0);
-    if (r < 0) {
-      LOCMM_CHECK_MSG(errno == EAGAIN || errno == EWOULDBLOCK,
-                      "socket recv failed (errno " << errno << ")");
-      return 0;
-    }
-    if (r == 0) *eof = true;
-    return static_cast<std::size_t>(r);
-  }
+  RingView out;
+  RingView in;
 };
-
-LocalInput local_input_of(const CommGraph& g, NodeId node) {
-  LocalInput in;
-  in.type = g.type(node);
-  in.degree = g.degree(node);
-  in.constraint_degree =
-      in.type == NodeType::kAgent ? g.constraint_degree(node) : 0;
-  in.coeffs.reserve(static_cast<std::size_t>(in.degree));
-  for (const HalfEdge& e : g.neighbors(node)) in.coeffs.push_back(e.coeff);
-  return in;
-}
 
 // ---------------------------------------------------------------------------
 // The per-rank schedule (runs inside a forked child).
@@ -211,7 +171,7 @@ void run_rank(const RankArgs& a) {
   std::vector<std::unique_ptr<NodeProgram>> programs(owned);
   for (std::size_t i = 0; i < owned; ++i) {
     programs[i] = (*a.make)(lo + static_cast<NodeId>(i));
-    programs[i]->init(local_input_of(g, lo + static_cast<NodeId>(i)));
+    programs[i]->init(local_input(g, lo + static_cast<NodeId>(i)));
   }
 
   std::vector<std::vector<Message>> inbox(owned);
@@ -289,7 +249,7 @@ void run_rank(const RankArgs& a) {
     // Exchange: flush own backlog and drain peers until every peer's
     // sentinel for this round arrived and everything queued went out.
     // Write-some / read-some in the same loop is the no-deadlock argument:
-    // a full ring or socket buffer always has a polling consumer.
+    // a full ring always has a polling consumer.
     std::uint64_t idle_spins = 0;
     for (;;) {
       bool all_done = true;
@@ -298,7 +258,7 @@ void run_rank(const RankArgs& a) {
         if (p == static_cast<std::size_t>(a.rank)) continue;
         PeerLink& link = (*a.links)[p];
         if (out_pos[p] < out_bufs[p].size()) {
-          const std::size_t w = link.write_some(
+          const std::size_t w = link.out.write_some(
               out_bufs[p].data() + out_pos[p], out_bufs[p].size() - out_pos[p]);
           out_pos[p] += w;
           progress |= w > 0;
@@ -306,11 +266,7 @@ void run_rank(const RankArgs& a) {
         }
         InStream& in = in_streams[p];
         if (!in.round_done) {
-          bool eof = false;
-          const std::size_t r = link.read_some(chunk.data(), chunk.size(),
-                                               &eof);
-          LOCMM_CHECK_MSG(!eof, "peer rank " << p
-                                             << " closed its link mid-round");
+          const std::size_t r = link.in.read_some(chunk.data(), chunk.size());
           if (r > 0) {
             in.buf.insert(in.buf.end(), chunk.data(), chunk.data() + r);
             progress = true;
@@ -390,11 +346,11 @@ void run_rank(const RankArgs& a) {
 
 }  // namespace
 
-MultiprocessResult run_multiprocess(const CommGraph& g,
-                                    const SyncNetwork::ProgramFactory& make,
-                                    std::int32_t schedule_rounds,
-                                    std::int32_t num_agents,
-                                    const DistOptions& dist) {
+MessageRunResult run_multiprocess(const CommGraph& g,
+                                  const SyncNetwork::ProgramFactory& make,
+                                  std::int32_t schedule_rounds,
+                                  std::int32_t num_agents,
+                                  const DistOptions& dist) {
   LOCMM_CHECK_MSG(dist.transport != TransportKind::kInProcess,
                   "run_multiprocess needs a cross-process transport");
   const NodeId n = g.num_nodes();
@@ -429,9 +385,8 @@ MultiprocessResult run_multiprocess(const CommGraph& g,
     new (&status[r]) std::atomic<std::int32_t>(kRankRunning);
   }
 
-  // Transport setup, pre-fork so every rank inherits the endpoints.
+  // Ring setup, pre-fork so every rank inherits the mapping.
   std::unique_ptr<SharedMapping> rings;
-  std::vector<std::vector<int>> fds;  // fds[r][s]: rank r's fd towards s
   const std::size_t pairs = P * (P - 1);
   const std::size_t ring_cap = static_cast<std::size_t>(dist.ring_bytes);
   const std::size_t ring_stride =
@@ -445,27 +400,14 @@ MultiprocessResult run_multiprocess(const CommGraph& g,
     v.capacity = ring_cap;
     return v;
   };
-  if (dist.transport == TransportKind::kSharedMemory) {
-    if (pairs > 0) {
-      rings = std::make_unique<SharedMapping>(pairs * ring_stride);
-      for (std::size_t a = 0; a < P; ++a)
-        for (std::size_t b = 0; b < P; ++b) {
-          if (a == b) continue;
-          RingView v = ring_at(a, b);
-          new (&v.hdr->head) std::atomic<std::uint64_t>(0);
-          new (&v.hdr->tail) std::atomic<std::uint64_t>(0);
-        }
-    }
-  } else {
-    fds.assign(P, std::vector<int>(P, -1));
+  if (pairs > 0) {
+    rings = std::make_unique<SharedMapping>(pairs * ring_stride);
     for (std::size_t a = 0; a < P; ++a)
-      for (std::size_t b = a + 1; b < P; ++b) {
-        int sv[2];
-        LOCMM_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0,
-                                     sv) == 0,
-                        "socketpair failed (errno " << errno << ")");
-        fds[a][b] = sv[0];
-        fds[b][a] = sv[1];
+      for (std::size_t b = 0; b < P; ++b) {
+        if (a == b) continue;
+        RingView v = ring_at(a, b);
+        new (&v.hdr->head) std::atomic<std::uint64_t>(0);
+        new (&v.hdr->tail) std::atomic<std::uint64_t>(0);
       }
   }
 
@@ -474,26 +416,14 @@ MultiprocessResult run_multiprocess(const CommGraph& g,
     const pid_t pid = ::fork();
     LOCMM_CHECK_MSG(pid >= 0, "fork failed (errno " << errno << ")");
     if (pid == 0) {
-      // Child: drop every endpoint that is not ours, build the peer links,
-      // run the schedule, report through the shared region, _exit (never
-      // unwind back into the parent's stack or run its atexit handlers).
+      // Child: build the peer links, run the schedule, report through the
+      // shared region, _exit (never unwind back into the parent's stack or
+      // run its atexit handlers).
       std::vector<PeerLink> links(P);
-      if (dist.transport == TransportKind::kSharedMemory) {
-        for (std::size_t p = 0; p < P; ++p) {
-          if (p == r) continue;
-          links[p].out_ring = ring_at(r, p);
-          links[p].in_ring = ring_at(p, r);
-        }
-      } else {
-        for (std::size_t x = 0; x < P; ++x)
-          for (std::size_t y = 0; y < P; ++y) {
-            if (fds[x][y] < 0) continue;
-            if (x == r) {
-              links[y].fd = fds[x][y];
-            } else {
-              ::close(fds[x][y]);
-            }
-          }
+      for (std::size_t p = 0; p < P; ++p) {
+        if (p == r) continue;
+        links[p].out = ring_at(r, p);
+        links[p].in = ring_at(p, r);
       }
       RankArgs args;
       args.g = &g;
@@ -522,12 +452,7 @@ MultiprocessResult run_multiprocess(const CommGraph& g,
     pids[r] = pid;
   }
 
-  // Parent: close its copies of the socket endpoints, reap in rank order.
-  if (dist.transport == TransportKind::kSocket) {
-    for (auto& row : fds)
-      for (int fd : row)
-        if (fd >= 0) ::close(fd);
-  }
+  // Parent: reap in rank order.
   bool ok = true;
   for (std::size_t r = 0; r < P; ++r) {
     int wstatus = 0;
@@ -538,7 +463,7 @@ MultiprocessResult run_multiprocess(const CommGraph& g,
   }
   LOCMM_CHECK_MSG(ok, "a multiprocess rank failed (see stderr)");
 
-  MultiprocessResult res;
+  MessageRunResult res;
   res.x.assign(shared_x, shared_x + num_agents);
   res.stats.rounds = schedule_rounds;
   for (std::size_t r = 0; r < P; ++r) {

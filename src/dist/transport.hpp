@@ -1,20 +1,14 @@
 // transport.hpp -- running the synchronous schedule across process
 // boundaries.
 //
-// Everything below the engines used to live in one address space: the
-// SyncNetwork delivered Message objects by move.  With the wire codec real
-// (dist/wire.hpp), the schedule can genuinely distribute: run_multiprocess
-// forks one rank per contiguous node-id shard, and every cross-rank
-// delivery ships the *encoded frame* -- the exact bytes Message::byte_size
-// accounts -- over one of two byte transports:
-//
-//   kSharedMemory   one SPSC byte ring per ordered rank pair, mmap'd
-//                   MAP_SHARED before the forks.  Lock-free head/tail
-//                   atomics, bounded capacity, polling exchange.
-//   kSocket         one AF_UNIX stream socketpair per unordered rank pair,
-//                   non-blocking.  The fallback for deployments where ranks
-//                   do not share memory (and the transport CI exercises
-//                   under ASan).
+// The in-process SyncNetwork delivers Message objects by move.  With the
+// wire codec real (dist/wire.hpp), the schedule can genuinely distribute:
+// run_multiprocess forks one rank per contiguous node-id shard, and every
+// cross-rank delivery ships the *encoded frame* -- the exact bytes
+// Message::byte_size accounts -- over one SPSC byte ring per ordered rank
+// pair, mmap'd MAP_SHARED before the forks (lock-free head/tail atomics,
+// bounded capacity, polling exchange).  Ranks are always forked children
+// of one process, so the rings run on every input.
 //
 // Port-faithful delivery is preserved exactly: a record names its
 // destination (node, port), receivers write the decoded message into the
@@ -28,10 +22,9 @@
 // The synchronous round structure doubles as the flow-control protocol:
 // each rank ends its per-peer traffic for a round with a sentinel record,
 // and drains peers while flushing its own backlog (write-some / read-some
-// polling), so a bounded ring or socket buffer can never deadlock the
-// exchange.  Rounds are fixed by the engine schedule (view_radius /
-// streaming_rounds), which removes the all-halted consensus the in-process
-// scheduler uses.
+// polling), so a bounded ring can never deadlock the exchange.  Ranks run
+// the same fixed schedule as the in-process SyncNetwork::run (view_radius /
+// streaming_rounds rounds), so no round needs a consensus on halting.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +37,11 @@ namespace locmm {
 enum class TransportKind : std::uint8_t {
   kInProcess,     // the SyncNetwork in-memory path (default)
   kSharedMemory,  // forked ranks over shared-memory byte rings
-  kSocket,        // forked ranks over AF_UNIX socket pairs
 };
 
-// The transport seam of the solve entry points: the in-process path is one
-// transport among others (solve_special_message_passing /
-// solve_special_streaming take this and dispatch).
+// The transport seam of the solve entry points: solve_special_message_passing
+// and solve_special_streaming take this, and run_engine (dist/fault.hpp)
+// dispatches on it.
 struct DistOptions {
   TransportKind transport = TransportKind::kInProcess;
   // Process ranks to fork (>= 1); ignored in-process.  Nodes are sharded
@@ -61,21 +53,16 @@ struct DistOptions {
   std::int64_t ring_bytes = 4 << 20;
 };
 
-struct MultiprocessResult {
-  std::vector<double> x;  // per-agent outputs (shared-memory result region)
-  RunStats stats;         // per-rank stats folded in rank order
-};
-
 // Forks dist.ranks processes, each owning a contiguous node-id shard of g,
 // and drives exactly `schedule_rounds` rounds of the programs `make`
 // builds.  Agent nodes [0, num_agents) must be AgentNodeProgram (their x()
-// lands in the shared result region).  Children run serially (threads
-// cannot cross fork), execute the fixed schedule, and _exit; the parent
-// reaps them in rank order and CHECK-fails if any rank died or failed to
-// halt.  Fault injection is an in-process facility (the recovery replay
-// needs the whole history in one address space), so callers pass
-// faults == nullptr paths here.
-MultiprocessResult run_multiprocess(const CommGraph& g,
+// lands in the shared result region; the per-rank stats are folded in rank
+// order).  Children run serially (threads cannot cross fork), execute the
+// fixed schedule, and _exit; the parent reaps them in rank order and
+// CHECK-fails if any rank died or failed to halt.  Fault injection is an
+// in-process facility (the recovery replay needs the whole history in one
+// address space), so the result never carries degradation flags.
+MessageRunResult run_multiprocess(const CommGraph& g,
                                     const SyncNetwork::ProgramFactory& make,
                                     std::int32_t schedule_rounds,
                                     std::int32_t num_agents,

@@ -42,45 +42,31 @@ IncrementalSolver::IncrementalSolver(const MaxMinInstance& special,
     // an empty instance (the cold run is a no-op): apply_distributed can
     // then rely on net_ unconditionally, and an edit addressed against the
     // empty instance dies in sf_.apply's batch validation rather than on a
-    // null network.
+    // null network.  Under cold_faults the run repairs its history by
+    // replaying the frozen region fault-free: a full recovery leaves net_'s
+    // history bitwise equal to a fault-free recording, so every subsequent
+    // apply() replays off it unchanged.  An empty instance drops the plan:
+    // its crash schedule could only name nodes that do not exist.
     net_ = std::make_unique<SyncNetwork>(g_, opt_.threads);
-    if (opt_.cold_faults != nullptr && opt_.cold_faults->any_faults() &&
-        g_.num_nodes() > 0) {
-      // Faulty cold solve: run under the scenario, repair the history by
-      // replaying the frozen region fault-free.  A full recovery leaves
-      // net_'s history bitwise equal to a fault-free recording, so every
-      // subsequent apply() replays off it unchanged.
-      const std::int32_t rounds = opt_.engine == DynamicEngine::kMessagePassing
-                                      ? D_
-                                      : streaming_rounds(opt_.R);
-      FaultTolerantResult ft = run_fault_tolerant(
-          *net_, *opt_.cold_faults,
-          [this](NodeId u) { return make_program(u); }, rounds, opt_.R,
-          opt_.t_search);
-      cold_net_ = ft.stats;
-      if (ft.fully_recovered) {
-        x_ = std::move(ft.x);
-      } else {
-        // Graceful degradation: the repaired history is NOT trustworthy as
-        // replay state (degraded agents carry fallback values), so drop the
-        // network and restart cold into the engine-C tables, which every
-        // later apply() then uses.  Exact, and O(ball) per update.
-        net_.reset();
-        opt_.engine = DynamicEngine::kMemoizedDp;
-        degraded_to_local_ = true;
-        cold_solve_tables();
-      }
+    const std::int32_t rounds = opt_.engine == DynamicEngine::kMessagePassing
+                                    ? D_
+                                    : streaming_rounds(opt_.R);
+    MessageRunResult run = run_fault_tolerant(
+        *net_, g_.num_nodes() > 0 ? opt_.cold_faults : nullptr,
+        [this](NodeId u) { return make_program(u); }, rounds, opt_.R,
+        opt_.t_search, /*record=*/true);
+    cold_net_ = run.stats;
+    if (run.fully_recovered) {
+      x_ = std::move(run.x);
     } else {
-      std::vector<std::unique_ptr<NodeProgram>> programs;
-      programs.reserve(static_cast<std::size_t>(g_.num_nodes()));
-      for (NodeId u = 0; u < g_.num_nodes(); ++u)
-        programs.push_back(make_program(u));
-      cold_net_ = net_->run(programs, 1 << 20, /*record=*/true);
-      for (AgentId v = 0; v < g_.num_agents(); ++v) {
-        const auto* prog = static_cast<const AgentNodeProgram*>(
-            programs[static_cast<std::size_t>(g_.agent_node(v))].get());
-        x_[static_cast<std::size_t>(v)] = prog->x();
-      }
+      // Graceful degradation: the repaired history is NOT trustworthy as
+      // replay state (degraded agents carry fallback values), so drop the
+      // network and restart cold into the engine-C tables, which every
+      // later apply() then uses.  Exact, and O(ball) per update.
+      net_.reset();
+      opt_.engine = DynamicEngine::kMemoizedDp;
+      degraded_to_local_ = true;
+      cold_solve_tables();
     }
   }
 

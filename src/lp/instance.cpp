@@ -91,10 +91,11 @@ void MaxMinInstance::validate() const {
   for (AgentId v = 0; v < num_agents(); ++v) {
     LOCMM_CHECK_MSG(!agent_constraints(v).empty(),
                     "agent " << v << " has no constraints (unconstrained; "
-                             << "preprocess per paper §4 before building)");
+                             << "paper §4 sets it to +infinity and drops "
+                                "its objectives)");
     LOCMM_CHECK_MSG(!agent_objectives(v).empty(),
                     "agent " << v << " has no objectives (non-contributing; "
-                             << "preprocess per paper §4 before building)");
+                             << "paper §4 sets it to zero and removes it)");
   }
 }
 

@@ -99,7 +99,7 @@ void expect_four_engines_agree(const Family& f, const MaxMinInstance& special,
         << c.x[static_cast<std::size_t>(v)];
   }
   if (R <= f.max_R_S) {
-    const StreamingRunResult s = solve_special_streaming(special, R);
+    const MessageRunResult s = solve_special_streaming(special, R);
     ASSERT_EQ(s.x.size(), c.x.size());
     for (std::size_t v = 0; v < c.x.size(); ++v) {
       ASSERT_TRUE(same_bits(s.x[v], c.x[v]))

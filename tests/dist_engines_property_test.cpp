@@ -35,7 +35,7 @@ void expect_four_way_agreement(const MaxMinInstance& special, std::int32_t R) {
   const SpecialRunResult c = solve_special_centralized(sf, R);
   const std::vector<double> l = solve_special_local_views(special, R);
   const MessageRunResult m = solve_special_message_passing(special, R);
-  const StreamingRunResult s = solve_special_streaming(special, R);
+  const MessageRunResult s = solve_special_streaming(special, R);
 
   EXPECT_EQ(m.stats.rounds, view_radius(R));
   EXPECT_EQ(s.stats.rounds, streaming_rounds(R));

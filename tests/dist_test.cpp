@@ -1,12 +1,17 @@
 // Tests for the distributed substrate: scheduler semantics, view gathering
-// (engine M) equality with directly-built views, and engine M == engine L
-// == engine C on the algorithm's output.
+// (engine M) equality with directly-built views, and engine M == engine C
+// bitwise on the algorithm's output.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "core/local_solver.hpp"
 #include "core/view_solver.hpp"
+#include "dist/fault.hpp"
 #include "dist/gather.hpp"
 #include "gen/generators.hpp"
+#include "support/check.hpp"
 
 namespace locmm {
 namespace {
@@ -47,7 +52,7 @@ TEST(Scheduler, CountsRoundsAndMessages) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (NodeId u = 0; u < g.num_nodes(); ++u)
     programs.push_back(std::make_unique<PingProgram>(3));
-  const RunStats stats = net.run(programs);
+  const RunStats stats = net.run(programs, 3);
   EXPECT_EQ(stats.rounds, 3);
   // Each round: one message per directed edge; cycle instance has
   // 6 agents * 4 ports = 24 directed agent-side edges, so 48 total per
@@ -59,25 +64,33 @@ TEST(Scheduler, CountsRoundsAndMessages) {
   EXPECT_EQ(stats.bytes, 3 * 48 * kScalarFrameBytes);
 }
 
-TEST(Scheduler, HaltsImmediatelyWhenAllDone) {
+TEST(Scheduler, ProgramsMustHaltWithinTheSchedule) {
+  // The schedule length is fixed up front; a program still running after
+  // the last round is a broken engine, with or without a fault plan.
   const MaxMinInstance inst = cycle_instance({.num_agents = 4}, 1);
   const CommGraph g(inst);
+  const auto pings = [&] {
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    for (NodeId u = 0; u < g.num_nodes(); ++u)
+      programs.push_back(std::make_unique<PingProgram>(3));
+    return programs;
+  };
   SyncNetwork net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (NodeId u = 0; u < g.num_nodes(); ++u)
-    programs.push_back(std::make_unique<PingProgram>(0));
-  // rounds_ = 0: receive never runs; but PingProgram only halts inside
-  // receive, so it runs exactly one round.
-  const RunStats stats = net.run(programs);
-  EXPECT_EQ(stats.rounds, 1);
+  auto short_plain = pings();
+  EXPECT_THROW(net.run(short_plain, 2), CheckError);
+  const FaultPlan no_faults(FaultSpec{});
+  FaultOutcome out;
+  auto short_faulty = pings();
+  EXPECT_THROW(net.run(short_faulty, 2, false, &no_faults, &out), CheckError);
+  auto full = pings();
+  EXPECT_EQ(net.run(full, 3).rounds, 3);
 }
 
 TEST(Scheduler, LocalInputMatchesGraph) {
   const MaxMinInstance inst = random_special_form({.num_agents = 10}, 3);
   const CommGraph g(inst);
-  SyncNetwork net(g);
   for (AgentId v = 0; v < inst.num_agents(); ++v) {
-    const LocalInput in = net.local_input(g.agent_node(v));
+    const LocalInput in = local_input(g, g.agent_node(v));
     EXPECT_EQ(in.type, NodeType::kAgent);
     EXPECT_EQ(in.degree, g.degree(g.agent_node(v)));
     EXPECT_EQ(in.constraint_degree,
@@ -94,7 +107,7 @@ TEST(Gather, ViewsMatchDirectConstruction) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (NodeId u = 0; u < g.num_nodes(); ++u)
     programs.push_back(std::make_unique<GatherProgram>(D, 2, TSearchOptions{}));
-  const RunStats stats = net.run(programs);
+  const RunStats stats = net.run(programs, D);
   EXPECT_EQ(stats.rounds, D);
 
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -118,8 +131,8 @@ TEST(Gather, ViewMessageBytesGrowWithRound) {
   };
   auto p1 = mk(2);
   auto p2 = mk(6);
-  const RunStats s1 = shallow_net.run(p1);
-  const RunStats s2 = deep_net.run(p2);
+  const RunStats s1 = shallow_net.run(p1, 2);
+  const RunStats s2 = deep_net.run(p2, 6);
   EXPECT_GT(s2.bytes, s1.bytes);
   EXPECT_GT(s2.max_message_bytes, s1.max_message_bytes);
 }
@@ -131,7 +144,9 @@ void expect_m_equals_c(const MaxMinInstance& special, std::int32_t R) {
   EXPECT_EQ(m.stats.rounds, view_radius(R));
   ASSERT_EQ(m.x.size(), c.x.size());
   for (std::size_t v = 0; v < m.x.size(); ++v)
-    EXPECT_NEAR(m.x[v], c.x[v], 1e-12) << "agent " << v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.x[v]),
+              std::bit_cast<std::uint64_t>(c.x[v]))
+        << "agent " << v;
 }
 
 TEST(EngineM, MatchesEngineCOnPair) {

@@ -146,7 +146,7 @@ TEST(ReplaySubstrate, RegathersOnlyTheDirtyBall) {
 
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (NodeId u = 0; u < g.num_nodes(); ++u) programs.push_back(factory(u));
-  const RunStats cold = net.run(programs, 1 << 20, /*record=*/true);
+  const RunStats cold = net.run(programs, D, /*record=*/true);
   ASSERT_EQ(cold.rounds, D);
   EXPECT_EQ(cold.fresh_messages, cold.messages);
   EXPECT_EQ(cold.replayed_messages, 0);
@@ -217,7 +217,7 @@ TEST(ReplaySubstrate, EmptySeedsReplayNothing) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (NodeId u = 0; u < g.num_nodes(); ++u)
     programs.push_back(std::make_unique<GatherProgram>(3, 0, TSearchOptions{}));
-  net.run(programs, 1 << 20, /*record=*/true);
+  net.run(programs, 3, /*record=*/true);
   const SyncNetwork::ReplayResult rep =
       net.replay({}, [&](NodeId) {
         return std::make_unique<GatherProgram>(3, 0, TSearchOptions{});
@@ -378,7 +378,7 @@ TEST(DynamicDist, IncrementalMatchesScratchSameEngine) {
   cur.apply(delta);
 
   const MessageRunResult m = solve_special_message_passing(cur, R);
-  const StreamingRunResult s = solve_special_streaming(cur, R);
+  const MessageRunResult s = solve_special_streaming(cur, R);
   expect_same_vector(inc_m.x(), m.x, "incremental M vs scratch M", 0);
   expect_same_vector(inc_s.x(), s.x, "incremental S vs scratch S", 0);
   // A scratch run is all fresh; the incremental one replayed most of it.

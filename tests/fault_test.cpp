@@ -1,6 +1,6 @@
 // Tests for the fault-tolerance layer (dist/fault.hpp): the seeded
-// FaultPlan decision procedure, the delivery-boundary detectors
-// (message_checksum + message_well_formed), and -- the headline -- chaos
+// FaultPlan decision procedure, the delivery-boundary detectors (the frame
+// decoder and wire_view_well_formed), and -- the headline -- chaos
 // runs of engines M and S under combined drop / corruption / duplication /
 // reordering / crash-with-restart scenarios that must recover bitwise
 // identical to the fault-free oracle, plus degradation scenarios (exhausted
@@ -10,7 +10,7 @@
 // The corruption detector gets an implicit exhaustive workout beyond the
 // unit tests here: every chaos run's delivery guard CHECK-fails the whole
 // test if any injected corruption of real engine traffic ever evades
-// checksum + well-formedness (see run_under_faults).
+// checksum + well-formedness (see SyncNetwork::run under a FaultPlan).
 //
 // Long variants of the chaos matrix live behind the ctest `slow` label
 // (gtest DISABLED_ + the slow_randomized_suites entry in CMakeLists.txt).
@@ -205,7 +205,6 @@ TEST(FaultDetection, ScalarSingleBitFlipsDetectedExhaustively) {
 
 TEST(FaultDetection, ViewCorruptionsDetected) {
   const Message clean_msg = Message::make_view(valid_blob());
-  ASSERT_TRUE(message_well_formed(clean_msg));
   const std::vector<std::uint8_t> clean = encode_message(clean_msg);
   ASSERT_EQ(static_cast<std::int64_t>(clean.size()), clean_msg.byte_size());
   // Exhaustively flip every bit of the encoded view frame -- envelope,
@@ -269,15 +268,6 @@ TEST(FaultDetection, MalformedBlobsRejected) {
   // Structural damage: forest instead of one tree, or missing subtrees.
   EXPECT_FALSE(mutate([](auto& b) { b[0].num_children = 1; }));
   EXPECT_FALSE(mutate([](auto& b) { b.pop_back(); }));
-
-  // A corrupted kind byte fails message_well_formed outright.
-  Message m = Message::make_scalar(1.0);
-  m.kind = static_cast<Message::Kind>(9);
-  EXPECT_FALSE(message_well_formed(m));
-  // A scalar that somehow grew a payload blob is malformed too.
-  Message s = Message::make_scalar(1.0);
-  s.view = valid_blob();
-  EXPECT_FALSE(message_well_formed(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -334,8 +324,8 @@ void run_chaos(const MaxMinInstance& special, std::int32_t R,
     EXPECT_EQ(m.degraded[v], 0) << "agent " << v;
   check_recovered_stats(m.stats, view_radius(R), plan.spec().max_retransmits);
 
-  const StreamingRunResult oracle_s = solve_special_streaming(special, R);
-  StreamingRunResult s = solve_special_streaming(special, R, {}, 1, &plan);
+  const MessageRunResult oracle_s = solve_special_streaming(special, R);
+  MessageRunResult s = solve_special_streaming(special, R, {}, 1, &plan);
   expect_same_vector(s.x, oracle_s.x, "chaos S vs fault-free S", 0);
   ASSERT_EQ(s.degraded.size(), s.x.size());
   for (std::size_t v = 0; v < s.degraded.size(); ++v)
@@ -415,8 +405,8 @@ TEST(FaultDegradation, ExhaustedBudgetDegradesAccurately) {
 
   // Engine S: un-degraded agents bitwise, and so are the degraded ones: they
   // carry the engine-L fallback, which shares S's reduction order.
-  const StreamingRunResult oracle_s = solve_special_streaming(wheel, R);
-  const StreamingRunResult s =
+  const MessageRunResult oracle_s = solve_special_streaming(wheel, R);
+  const MessageRunResult s =
       solve_special_streaming(wheel, R, {}, 1, &plan);
   ASSERT_EQ(s.x.size(), oracle_s.x.size());
   std::int64_t s_flagged = 0;
@@ -661,10 +651,10 @@ TEST(ParallelReplay, RecoveryReplayIsThreadCountInvariant) {
 
   SyncNetwork serial(g, /*threads=*/1);
   SyncNetwork parallel(g, /*threads=*/0);
-  const FaultTolerantResult a =
-      run_fault_tolerant(serial, plan, factory, view_radius(R), R);
-  const FaultTolerantResult b =
-      run_fault_tolerant(parallel, plan, factory, view_radius(R), R);
+  const MessageRunResult a =
+      run_fault_tolerant(serial, &plan, factory, view_radius(R), R);
+  const MessageRunResult b =
+      run_fault_tolerant(parallel, &plan, factory, view_radius(R), R);
   expect_same_vector(a.x, b.x, "threads=1 vs threads=0", 0);
   EXPECT_EQ(a.degraded, b.degraded);
   EXPECT_EQ(a.recovered_nodes, b.recovered_nodes);

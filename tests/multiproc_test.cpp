@@ -1,10 +1,9 @@
-// Cross-process conformance for the forked transports (dist/transport.hpp):
-// engines M and S running as 2 and 4 OS processes over shared-memory rings
-// and AF_UNIX sockets must land BITWISE on their single-process selves --
-// and therefore on engine C (S carries C's bits exactly; M agrees with C to
-// 1e-12) -- on randomized instances of several generator families, with
-// RunStats equal to the in-process run's (the byte counters quote the same
-// encoder, and every rank counts its own nodes' sends at frame size
+// Cross-process conformance for the forked transport (dist/transport.hpp):
+// engines M and S running as 1, 2 and 4 OS processes over shared-memory
+// rings must land BITWISE on their single-process selves -- and therefore
+// on engine C -- on randomized instances of several generator families,
+// with RunStats equal to the in-process run's (the byte counters quote the
+// same encoder, and every rank counts its own nodes' sends at frame size
 // regardless of where the receiver lives).
 //
 // The slow variant (DISABLED_*Slow*, picked up by the slow_randomized_suites
@@ -15,8 +14,7 @@
 // the same network.
 //
 // Fork-based tests cannot run under TSan (the runtime does not support
-// fork-with-threads); they GTEST_SKIP there.  The ASan CI job runs them
-// against the socket transport as well.
+// fork-with-threads); they GTEST_SKIP there.  The ASan CI job runs them.
 #include "dist/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -63,39 +61,31 @@ void expect_bitwise(const std::vector<double>& got,
   }
 }
 
-const char* transport_name(TransportKind k) {
-  return k == TransportKind::kSharedMemory ? "shm" : "socket";
-}
-
-// The full conformance bundle for one (instance, R, transport, ranks) cell.
+// The full conformance bundle for one (instance, R, ranks) cell.
 void expect_conformance(const MaxMinInstance& special, std::int32_t R,
-                        TransportKind kind, std::int32_t ranks,
+                        std::int32_t ranks,
                         std::int64_t ring_bytes = 4 << 20) {
-  const std::string what =
-      std::string(transport_name(kind)) + " x" + std::to_string(ranks);
+  const std::string what = "shm x" + std::to_string(ranks);
 
   const MessageRunResult m1 = solve_special_message_passing(special, R);
-  const StreamingRunResult s1 = solve_special_streaming(special, R);
+  const MessageRunResult s1 = solve_special_streaming(special, R);
   const SpecialRunResult c =
       solve_special_centralized(SpecialFormInstance(special), R);
 
   DistOptions dist;
-  dist.transport = kind;
+  dist.transport = TransportKind::kSharedMemory;
   dist.ranks = ranks;
   dist.ring_bytes = ring_bytes;
   const MessageRunResult m =
       solve_special_message_passing(special, R, {}, 1, nullptr, dist);
-  const StreamingRunResult s =
+  const MessageRunResult s =
       solve_special_streaming(special, R, {}, 1, nullptr, dist);
 
-  // Bitwise against the single-process engines; S additionally carries
-  // engine C's exact bits, M agrees with C at 1e-12.
+  // Bitwise against the single-process engines and against engine C.
   expect_bitwise(m.x, m1.x, "engine M " + what);
   expect_bitwise(s.x, s1.x, "engine S " + what);
+  expect_bitwise(m.x, c.x, "engine M vs C " + what);
   expect_bitwise(s.x, c.x, "engine S vs C " + what);
-  ASSERT_EQ(m.x.size(), c.x.size());
-  for (std::size_t v = 0; v < c.x.size(); ++v)
-    EXPECT_NEAR(m.x[v], c.x[v], 1e-12) << "engine M vs C " << what;
 
   // Stats must be partition-independent: identical to in-process.
   for (const auto& [mp, ip] : {std::pair(m.stats, m1.stats),
@@ -114,12 +104,9 @@ TEST(Multiprocess, TwoAndFourRanksOnRandomSpecial) {
   RandomSpecialParams p;
   p.num_agents = 12;
   p.delta_k = 3;
-  for (const TransportKind kind :
-       {TransportKind::kSharedMemory, TransportKind::kSocket}) {
-    for (const std::int32_t ranks : {2, 4}) {
-      for (const std::uint64_t seed : {21, 22}) {
-        expect_conformance(random_special_form(p, seed), 2, kind, ranks);
-      }
+  for (const std::int32_t ranks : {2, 4}) {
+    for (const std::uint64_t seed : {21, 22}) {
+      expect_conformance(random_special_form(p, seed), 2, ranks);
     }
   }
 }
@@ -132,12 +119,7 @@ TEST(Multiprocess, FourRanksAcrossFamilies) {
       regular_special_instance({.num_objectives = 6}, 8),
       layered_instance({.delta_k = 2, .layers = 4, .width = 2, .twist = 1}),
   };
-  for (const MaxMinInstance& inst : fams) {
-    for (const TransportKind kind :
-         {TransportKind::kSharedMemory, TransportKind::kSocket}) {
-      expect_conformance(inst, 2, kind, 4);
-    }
-  }
+  for (const MaxMinInstance& inst : fams) expect_conformance(inst, 2, 4);
 }
 
 TEST(Multiprocess, RadiusThreeOnSparseFamily) {
@@ -146,10 +128,7 @@ TEST(Multiprocess, RadiusThreeOnSparseFamily) {
   // radius-17 view blobs crossing real process boundaries.
   const MaxMinInstance inst = layered_instance(
       {.delta_k = 2, .layers = 5, .width = 1, .twist = 0});
-  for (const TransportKind kind :
-       {TransportKind::kSharedMemory, TransportKind::kSocket}) {
-    expect_conformance(inst, 3, kind, 2);
-  }
+  expect_conformance(inst, 3, 2);
 }
 
 TEST(Multiprocess, TinyRingForcesWrapAndPartialWrites) {
@@ -160,8 +139,7 @@ TEST(Multiprocess, TinyRingForcesWrapAndPartialWrites) {
   RandomSpecialParams p;
   p.num_agents = 12;
   p.delta_k = 3;
-  expect_conformance(random_special_form(p, 23), 2,
-                     TransportKind::kSharedMemory, 4, /*ring_bytes=*/1024);
+  expect_conformance(random_special_form(p, 23), 2, 4, /*ring_bytes=*/1024);
 }
 
 TEST(Multiprocess, SingleRankDegenerate) {
@@ -170,8 +148,7 @@ TEST(Multiprocess, SingleRankDegenerate) {
   // case must still match in-process bitwise.
   RandomSpecialParams p;
   p.num_agents = 8;
-  expect_conformance(random_special_form(p, 24), 2, TransportKind::kSocket,
-                     1);
+  expect_conformance(random_special_form(p, 24), 2, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,15 +190,13 @@ TEST_F(MultiprocSlow, DISABLED_EditScriptReplayMatchesCrossProcess) {
     cur.apply(delta);
 
     // The replayed dynamic state must equal a fresh 4-rank cross-process
-    // solve of the edited instance, bitwise, on both transports.
-    const TransportKind kind = (step % 2 == 0) ? TransportKind::kSharedMemory
-                                               : TransportKind::kSocket;
+    // solve of the edited instance, bitwise.
     DistOptions dist;
-    dist.transport = kind;
+    dist.transport = TransportKind::kSharedMemory;
     dist.ranks = 4;
     const MessageRunResult m =
         solve_special_message_passing(cur, R, {}, 1, nullptr, dist);
-    const StreamingRunResult s =
+    const MessageRunResult s =
         solve_special_streaming(cur, R, {}, 1, nullptr, dist);
     expect_bitwise(inc_m.x(), m.x,
                    "replayed M vs cross-process, step " + std::to_string(step));

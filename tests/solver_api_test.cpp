@@ -395,52 +395,80 @@ InstanceDelta structural_churn(const MaxMinInstance& inst, Rng& rng) {
   const auto i = static_cast<ConstraintId>(
       rng.below(static_cast<std::uint64_t>(inst.num_constraints())));
   // Refresh the FIRST of the two entries: the re-add appends at the row
-  // end, so the agent sequence provably changes and the differential
-  // oracle cannot express the edit as a coefficient diff.  (Refreshing the
-  // last entry is structurally a no-op -- the diff path would absorb it.)
+  // end, so the agent sequence provably changes and the edit is genuinely
+  // structural, not a coefficient diff.  (Refreshing the last entry is
+  // structurally a no-op.)
   const AgentId v = inst.constraint_row(i)[0].agent;
   delta.remove_from_constraint(i, v);
   delta.add_to_constraint(i, v, rng.uniform(0.5, 2.0));
   return delta;
 }
 
-TEST(LocalResolver, StructuralFastPathMatchesDifferentialOracle) {
-  // Two resolvers over the same churn script: one on the id-map fast path
-  // (map_structural_deltas, the default), one with the knob off -- the
-  // differential oracle, which must re-initialise on every structural edit
-  // because diff_instances cannot express a sparsity change.  The solutions
-  // must agree bitwise after every step regardless of the path taken.
-  const MaxMinInstance grid = special_grid_instance({.rows = 4, .cols = 6}, 2);
-  LocalParams fast;
-  fast.R = 2;
-  fast.engine = LocalEngine::kLocalViews;
-  LocalParams oracle = fast;
-  oracle.map_structural_deltas = false;
+// The differential oracle of the resolver: its solution after an edit is
+// bitwise a from-scratch solve_local of the edited instance.
+void expect_resolver_matches_solve_local(const LocalResolver& r,
+                                         const MaxMinInstance& cur,
+                                         const LocalParams& params,
+                                         int step) {
+  expect_bitwise_instance(r.instance(), cur, "resolver vs edit script");
+  const LocalSolution& sa = r.solution();
+  const LocalSolution sb = solve_local(cur, params);
+  EXPECT_TRUE(vectors_bit_equal(sa.x, sb.x)) << "step " << step;
+  EXPECT_TRUE(vectors_bit_equal(sa.x_special, sb.x_special))
+      << "step " << step;
+  EXPECT_TRUE(bits_equal(sa.omega, sb.omega)) << "step " << step;
+  EXPECT_TRUE(bits_equal(sa.omega_special, sb.omega_special))
+      << "step " << step;
+  EXPECT_TRUE(bits_equal(sa.guarantee, sb.guarantee)) << "step " << step;
+}
 
-  LocalResolver a(grid, fast);
-  LocalResolver b(grid, oracle);
+TEST(LocalResolver, StructuralFastPathMatchesDifferentialOracle) {
+  // A churn script of structural edits that all stay on the id-map fast
+  // path: after every step the resolver must agree bitwise with solve_local
+  // on the edited instance.
+  const MaxMinInstance grid = special_grid_instance({.rows = 4, .cols = 6}, 2);
+  LocalParams params;
+  params.R = 2;
+  params.engine = LocalEngine::kLocalViews;
+
+  LocalResolver a(grid, params);
   MaxMinInstance cur = grid;
   Rng rng(4242);
   for (int step = 0; step < 4; ++step) {
     const InstanceDelta d = structural_churn(cur, rng);
     a.resolve(d);
-    b.resolve(d);
     cur.apply(d);
-
     EXPECT_TRUE(a.last_resolve_was_delta()) << "step " << step;
-    EXPECT_FALSE(b.last_resolve_was_delta()) << "step " << step;
-
-    expect_bitwise_instance(a.instance(), b.instance(), "fast vs oracle");
-    const LocalSolution& sa = a.solution();
-    const LocalSolution& sb = b.solution();
-    EXPECT_TRUE(vectors_bit_equal(sa.x, sb.x)) << "step " << step;
-    EXPECT_TRUE(vectors_bit_equal(sa.x_special, sb.x_special))
-        << "step " << step;
-    EXPECT_TRUE(bits_equal(sa.omega, sb.omega)) << "step " << step;
-    EXPECT_TRUE(bits_equal(sa.omega_special, sb.omega_special))
-        << "step " << step;
-    EXPECT_TRUE(bits_equal(sa.guarantee, sb.guarantee)) << "step " << step;
+    expect_resolver_matches_solve_local(a, cur, params, step);
   }
+}
+
+TEST(LocalResolver, KvGrowthReinitialisesBitwise) {
+  // Growing an agent's |Kv| from 2 to 3 changes how §4.4 splits it, so the
+  // special form is renumbered: neither the id map nor the diff can carry
+  // the edit, and the resolver re-initialises -- still bitwise solve_local.
+  const MaxMinInstance grid = grid_instance({.rows = 3, .cols = 4}, 6);
+  LocalParams params;
+  params.R = 2;
+  LocalResolver r(grid, params);
+
+  const AgentId v = 0;
+  ASSERT_EQ(grid.agent_objectives(v).size(), 2u);
+  ObjectiveId k = 0;
+  const auto serves = [&](ObjectiveId row) {
+    for (const Entry& e : grid.objective_row(row))
+      if (e.agent == v) return true;
+    return false;
+  };
+  while (serves(k)) ++k;
+  InstanceDelta d;
+  d.add_to_objective(k, v, 1.0);
+  r.resolve(d);
+  MaxMinInstance cur = grid;
+  cur.apply(d);
+  ASSERT_EQ(cur.agent_objectives(v).size(), 3u);
+  EXPECT_FALSE(r.last_resolve_was_delta());
+  expect_resolver_matches_solve_local(r, cur, params, 0);
 }
 
 TEST(Api, ZeroOptimumInstanceHandled) {

@@ -14,7 +14,7 @@ namespace {
 void expect_s_equals_c(const MaxMinInstance& special, std::int32_t R) {
   const SpecialFormInstance sf(special);
   const SpecialRunResult c = solve_special_centralized(sf, R);
-  const StreamingRunResult s = solve_special_streaming(special, R);
+  const MessageRunResult s = solve_special_streaming(special, R);
   EXPECT_EQ(s.stats.rounds, streaming_rounds(R));
   ASSERT_EQ(s.x.size(), c.x.size());
   for (std::size_t v = 0; v < s.x.size(); ++v) {
@@ -70,7 +70,7 @@ TEST(Streaming, SmallerMaxMessageThanGather) {
   // radius-(12r+4) views.  For R >= 3 the gap is decisive.
   const MaxMinInstance inst = layered_instance(
       {.delta_k = 2, .layers = 12, .width = 1, .twist = 0});
-  const StreamingRunResult s = solve_special_streaming(inst, 3);
+  const MessageRunResult s = solve_special_streaming(inst, 3);
   const MessageRunResult m = solve_special_message_passing(inst, 3);
   EXPECT_LT(s.stats.max_message_bytes, m.stats.max_message_bytes);
   EXPECT_LT(s.stats.bytes, m.stats.bytes);
@@ -81,7 +81,7 @@ TEST(Streaming, SmallerMaxMessageThanGather) {
 TEST(Streaming, ScalarPhasesDominateMessageCount) {
   const MaxMinInstance inst = layered_instance(
       {.delta_k = 2, .layers = 8, .width = 1, .twist = 0});
-  const StreamingRunResult s = solve_special_streaming(inst, 2);
+  const MessageRunResult s = solve_special_streaming(inst, 2);
   // 7 rounds total over 64 directed edges; phases 2-3 send on alternating
   // sides only, so the count is well under rounds * directed_edges.
   EXPECT_GT(s.stats.messages, 0);

@@ -226,7 +226,6 @@ TEST(WireFrames, NaNPayloadsChecksumDistinctlyAndDecodeSafely) {
     const Message m = Message::make_scalar(nan);
     const std::vector<std::uint8_t> f = encode_message(m);
     checksums.insert(load_le(f.data() + f.size() - 8, 8));
-    EXPECT_EQ(message_checksum(m), load_le(f.data() + f.size() - 8, 8));
     Message out;
     ASSERT_EQ(decode_message_frame(f, out), WireDecodeStatus::kOk);
     EXPECT_TRUE(std::isnan(out.scalar));
